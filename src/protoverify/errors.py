@@ -92,10 +92,6 @@ class MalformedMismatchError(ProtoVerifyError):
 
 # --- spuriousness ---
 
-class DependencyCycleError(ProtoVerifyError):
-    pass
-
-
 class UnresolvableClassError(ProtoVerifyError):
     pass
 

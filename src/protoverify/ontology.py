@@ -225,17 +225,28 @@ def parse_ontology(doc: dict) -> OntologyGraph:
             raise OntologyFormatError(
                 f"objectProperties of {name!r} must be an object"
             )
+        data_props = _string_list(entry, "dataProperties")
         nodes.append(
             ClassNode(
                 name=name,
                 abstract=bool(entry.get("abstract", False)),
-                data_properties=tuple(entry.get("dataProperties", [])),
+                data_properties=tuple(data_props),
                 object_properties=tuple(sorted(obj_props.items())),
             )
         )
-        for sup in entry.get("superclasses", []):
+        for sup in _string_list(entry, "superclasses"):
             edges.add((sup, name))
     return OntologyGraph(nodes, edges, doc.get("aliases", {}))
+
+
+def _string_list(entry: dict, key: str) -> list[str]:
+    """An optional list-of-names field of a class entry."""
+    items = entry.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+        raise OntologyFormatError(
+            f"{key} of {entry['name']!r} must be a list of strings"
+        )
+    return items
 
 
 def load_ontology(path) -> OntologyGraph:

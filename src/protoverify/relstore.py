@@ -2,8 +2,8 @@
 
 One table per non-abstract ontology class; relations are immutable
 values with set semantics (no duplicate rows). The algebra (natural
-join, projection, selection) is the substrate of assignable-set
-computation.
+join, projection, selection) builds the answer relations of protocol
+queries.
 """
 
 from __future__ import annotations

@@ -5,12 +5,13 @@ conflicting query whether the current back-end database can actually
 drive an execution into it (realizable, with a witness tuple) or whether
 every correct instantiation avoids it (spurious).
 
-The machinery works over assignable sets: for each variable group the
-relation of value tuples the evaluator could produce, computed with the
-relational algebra and memoized per variable-set key. The verdict itself
-comes from the execution-state relation of the path to the conflict,
-where a query without a matching answer continues with null bindings and
-each branch on the path must evaluate to the arm the path takes.
+The verdict comes from the execution-state relation of the path to the
+conflict: each query on the path extends every state with the answers
+the database can give it, a state without a matching answer continues
+with null bindings, and each branch on the path must evaluate to the arm
+the path takes. A query's answer relation depends only on the query and
+the database, so one verification call builds it at most once and
+shares it across all conflicts whose paths pass through the query.
 
 Step mode seeds concrete answers from a conversation prefix and prunes
 conflicts behind branch decisions that were already taken.
@@ -23,9 +24,9 @@ from dataclasses import dataclass, field
 
 from . import values
 from .errors import (
-    DependencyCycleError,
     InconsistentTraceError,
     NoExtentError,
+    TagMismatchError,
     UncoveredBindingError,
     UnresolvableClassError,
 )
@@ -35,15 +36,11 @@ from .protocol import (
     Action,
     Branch,
     Condition,
-    Lit,
     ProtocolAst,
     Query,
-    Var,
     branch_path,
     classify_variables,
     eval_condition,
-    instantiating_query,
-    path_conditions,
 )
 from .relstore import Database, Relation, class_extent, natural_join, project, rename, select
 
@@ -57,18 +54,7 @@ REALIZABLE = "realizable"
 NO_ANSWER = object()
 
 
-# --- dependency info ---
-
-@dataclass(frozen=True)
-class DependencyInfo:
-    """Constrain edges: (already-instantiated var, newly instantiated var)
-    pairs contributed by each query."""
-
-    edges: frozenset[tuple[str, str]]
-
-    def sources_of(self, var: str) -> frozenset[str]:
-        return frozenset(s for s, t in self.edges if t == var)
-
+# --- variable classification ---
 
 def query_prior_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
     """Variables of a query that were instantiated by earlier queries:
@@ -94,66 +80,7 @@ def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
     )
 
 
-def constrain_relation(p: ProtocolAst) -> DependencyInfo:
-    """Per-query edges from previously instantiated to newly instantiated
-    variables."""
-    edges = set()
-    for q in p.queries():
-        prior = query_prior_variables(p, q)
-        new = query_new_variables(p, q)
-        for s in prior:
-            for t in new:
-                edges.add((s, t))
-    return DependencyInfo(frozenset(edges))
-
-
-def restrict_set(dep: DependencyInfo, v) -> frozenset[str]:
-    """Transitive dependency closure of a variable set under the constrain
-    relation (backward), excluding the set itself."""
-    v = frozenset(v)
-    closure: set[str] = set()
-    frontier = list(v)
-    while frontier:
-        var = frontier.pop()
-        for src in dep.sources_of(var):
-            if src not in closure:
-                closure.add(src)
-                frontier.append(src)
-    return frozenset(closure - v)
-
-
-def split_set(dep: DependencyInfo, p: ProtocolAst, v, conflict_query: int) -> frozenset[str]:
-    """Variables of v and its dependency closure that occur in a branch
-    condition on the path to the conflicting query."""
-    v = frozenset(v)
-    scope = v | restrict_set(dep, v)
-    cond_vars: set[str] = set()
-    for cond in path_conditions(p, conflict_query):
-        cond_vars |= cond.variables()
-    return frozenset(scope & cond_vars)
-
-
-def make_sets(p: ProtocolAst, v) -> list[frozenset[str]]:
-    """Partition a variable set by instantiating query, ordered by query
-    position."""
-    groups: dict[int, set[str]] = {}
-    for var in v:
-        groups.setdefault(instantiating_query(p, var), set()).add(var)
-    return [frozenset(groups[qid]) for qid in sorted(groups)]
-
-
-def relevant_conditions(p: ProtocolAst, v_split, conflict_query: int) -> list[Condition]:
-    """Path conditions (already negation-normalized) mentioning at least
-    one split-set variable."""
-    v_split = frozenset(v_split)
-    return [
-        cond
-        for cond in path_conditions(p, conflict_query)
-        if cond.variables() & v_split
-    ]
-
-
-# --- assignable sets ---
+# --- answer relations ---
 
 def generate_assignable_set(q: Query, prior_tables, db: Database) -> Relation:
     """The relation of tuples the evaluator could answer for a query,
@@ -237,27 +164,21 @@ def generate_assignable_set(q: Query, prior_tables, db: Database) -> Relation:
     return project(t, [c for c in keep if c in t.columns])
 
 
-def split_assignable_set(delta: Relation, v_split, conds, mode: str = CONJUNCTION) -> Relation:
-    """Filter an assignable relation by the relevant path conditions."""
-    return select(delta, conds, mode)
-
-
 # --- verification context and driver ---
 
 @dataclass
 class VerifyContext:
-    """State confined to one verification run.
+    """State confined to one verification call.
 
-    The cache maps a canonical variable-set key to its assignable
-    relation; None marks a group whose relation could not be non-empty
-    (unanswerable query or emptied dependency), i.e. the group's
-    variables are always null in execution.
+    ``answers`` maps a query id to the query's answer relation and the
+    where conditions left for per-state evaluation, built on first use.
+    It never outlives the call: one protocol may be verified against
+    several databases.
     """
 
     mode: str = "static"
-    cache: dict[frozenset, Relation | None] = field(default_factory=dict)
-    in_flight: set[frozenset] = field(default_factory=set)
     seeded_answers: dict[int, object] = field(default_factory=dict)
+    answers: dict[int, tuple[Relation, list[Condition]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -302,77 +223,6 @@ class SpuriousnessReport:
         return any(e.verdict == REALIZABLE for e in self.entries)
 
 
-def verify_conflict(v, conflict_query: int, ctx: VerifyContext,
-                    p: ProtocolAst, db: Database, dep: DependencyInfo) -> bool:
-    """True iff a non-empty assignable relation exists for the variable
-    set; the relation (or None for an unanswerable group) is memoized
-    under the set's key.
-
-    Dependencies are verified recursively in instantiation order; a group
-    re-entered while still being computed signals a malformed protocol.
-    """
-    key = frozenset(v)
-    if not key:
-        return True
-    if key in ctx.cache:
-        rel = ctx.cache[key]
-        return rel is not None and bool(rel.rows)
-    if key in ctx.in_flight:
-        raise DependencyCycleError(
-            f"cyclic dependency through variables {sorted(key)}"
-        )
-    ctx.in_flight.add(key)
-    try:
-        groups = make_sets(p, key)
-        if len(groups) > 1:
-            rel: Relation | None = None
-            ok = True
-            for g in groups:
-                if not verify_conflict(g, conflict_query, ctx, p, db, dep):
-                    ok = False
-            if ok:
-                rel = ctx.cache[frozenset(groups[0])]
-                for g in groups[1:]:
-                    rel = natural_join(rel, ctx.cache[frozenset(g)])
-        else:
-            rel = _group_relation(groups[0], conflict_query, ctx, p, db, dep)
-        ctx.cache[key] = rel
-        return rel is not None and bool(rel.rows)
-    finally:
-        ctx.in_flight.discard(key)
-
-
-def _group_relation(group, conflict_query, ctx, p, db, dep):
-    qid = instantiating_query(p, next(iter(group)))
-    q = p.query(qid)
-    if qid in ctx.seeded_answers:
-        answer = ctx.seeded_answers[qid]
-        if answer is NO_ANSWER:
-            return None
-        cols = tuple(q.output_variables())
-        row = tuple(answer[c] for c in cols)
-        declared = _variable_tags(q, db)
-        tags = tuple(
-            declared.get(c, values.tag_of(cell) if cell is not None else "str")
-            for c, cell in zip(cols, row)
-        )
-        return Relation(cols, tags, frozenset([row]), f"trace:{qid}")
-    prior = query_prior_variables(p, q)
-    prior_rels = []
-    for g in make_sets(p, prior):
-        if not verify_conflict(g, conflict_query, ctx, p, db, dep):
-            # The prior variables can only be null; joining on a null
-            # never matches, so this query can never be answered.
-            return None
-        prior_rels.append(ctx.cache[frozenset(g)])
-    try:
-        return generate_assignable_set(q, prior_rels, db)
-    except (UnresolvableClassError, UncoveredBindingError):
-        # The query itself cannot be answered by the server; in execution
-        # its variables come back null.
-        return None
-
-
 def _path_queries(stmts, target: int):
     """Queries on the unique syntactic path from the start to the target
     query, in execution order, excluding the target itself."""
@@ -407,8 +257,61 @@ def _branch_pairs(p: ProtocolAst, target: int,
     return pairs
 
 
+def _check_binding_tags(p: ProtocolAst, db: Database):
+    """Reject a variable bound to attributes whose declared tags cannot
+    be compared, wherever the bindings occur."""
+    first: dict[str, tuple[str, str]] = {}
+    for q in p.queries():
+        for attr, var in q.bindings:
+            if var is None or attr not in db.property_tags:
+                continue
+            tag = db.property_tags[attr]
+            first_attr, first_tag = first.setdefault(var, (attr, tag))
+            if not values.tags_comparable(first_tag, tag):
+                raise TagMismatchError(
+                    f"variable {var!r} is bound to {first_attr!r} ({first_tag}) "
+                    f"and {attr!r} ({tag}), which cannot be compared"
+                )
+
+
+def _declared_relation(q: Query, db: Database, rows) -> Relation:
+    """Rows over the query's variables, tagged as the manifest declares."""
+    out_vars = q.output_variables()
+    declared = _variable_tags(q, db)
+    tags = tuple(declared.get(v, "str") for v in out_vars)
+    return Relation(out_vars, tags, frozenset(rows), f"answers:{q.id}")
+
+
+def _answers(q: Query, ctx: VerifyContext, db: Database):
+    """The answers a path query can receive, and its where conditions
+    that read earlier variables.
+
+    A seeded step-mode answer is one row, or none for an unanswered
+    query. Otherwise the relation comes from the database and is built
+    at most once per call.
+    """
+    if q.id in ctx.seeded_answers:
+        answer = ctx.seeded_answers[q.id]
+        rows = [] if answer is NO_ANSWER else [
+            tuple(answer.get(v) for v in q.output_variables())
+        ]
+        return _declared_relation(q, db, rows), []
+    if q.id not in ctx.answers:
+        try:
+            rel = generate_assignable_set(q, [], db)
+        except (UnresolvableClassError, UncoveredBindingError):
+            # The server cannot answer the query; in execution its
+            # variables come back null.
+            rel = _declared_relation(q, db, [])
+        # Conditions over previously instantiated variables are not
+        # evaluable inside the query alone; apply them per state.
+        deferred = [c for c in q.where if not c.variables() <= set(rel.columns)]
+        ctx.answers[q.id] = (rel, deferred)
+    return ctx.answers[q.id]
+
+
 def _execution_relation(p: ProtocolAst, db: Database, target: int,
-                        seeded: dict[int, object]) -> Relation:
+                        ctx: VerifyContext) -> Relation:
     """All variable states an execution can be in when it arrives at the
     target query, one row per reachable state.
 
@@ -422,33 +325,8 @@ def _execution_relation(p: ProtocolAst, db: Database, target: int,
     tags: list[str] = []
     rows: set[tuple] = {()}
     for q in queries:
-        out_vars = list(q.output_variables())
-        declared = _variable_tags(q, db)
-        deferred: list[Condition] = []
-        if q.id in seeded:
-            answer = seeded[q.id]
-            a_cols = tuple(out_vars)
-            a_tags = tuple(declared.get(v, "str") for v in out_vars)
-            if answer is NO_ANSWER:
-                a_rows: frozenset = frozenset()
-            else:
-                a_rows = frozenset([tuple(answer.get(v) for v in out_vars)])
-        else:
-            try:
-                rel = generate_assignable_set(q, [], db)
-            except (UnresolvableClassError, UncoveredBindingError):
-                rel = None
-            if rel is None:
-                a_cols = tuple(out_vars)
-                a_tags = tuple(declared.get(v, "str") for v in out_vars)
-                a_rows = frozenset()
-            else:
-                a_cols, a_tags, a_rows = rel.columns, rel.tags, rel.rows
-            # Conditions over previously instantiated variables are not
-            # evaluable inside the query alone; apply them per state.
-            deferred = [
-                c for c in q.where if not (c.variables() <= set(a_cols))
-            ]
+        answers, deferred = _answers(q, ctx, db)
+        a_cols = answers.columns
         shared = [v for v in a_cols if v in cols]
         new_vars = [v for v in a_cols if v not in cols]
         a_index = {v: i for i, v in enumerate(a_cols)}
@@ -456,7 +334,7 @@ def _execution_relation(p: ProtocolAst, db: Database, target: int,
         for row in rows:
             env = dict(zip(cols, row))
             extensions: set[tuple] = set()
-            for arow in a_rows:
+            for arow in answers.rows:
                 ok = True
                 for v in shared:
                     cell = arow[a_index[v]]
@@ -474,13 +352,13 @@ def _execution_relation(p: ProtocolAst, db: Database, target: int,
             else:
                 next_rows.add(row + (None,) * len(new_vars))
         cols.extend(new_vars)
-        tags.extend(a_tags[a_index[v]] for v in new_vars)
+        tags.extend(answers.tags[a_index[v]] for v in new_vars)
         rows = next_rows
     return Relation(tuple(cols), tuple(tags), frozenset(rows), f"reach:{target}")
 
 
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
-                     dep: DependencyInfo, combination: str,
+                     combination: str,
                      drop_conditions_of: set[int] | None = None) -> ConflictVerdict:
     pairs = _branch_pairs(p, qid, drop_conditions_of)
     if not pairs:
@@ -491,13 +369,7 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
         for cond in conds:
             needed |= cond.variables()
 
-    # Keep the memoized assignable-set machinery warm for the groups the
-    # decision depends on; its relations back witness explanations and
-    # the coherence checks.
-    for g in make_sets(p, needed):
-        verify_conflict(g, qid, ctx, p, db, dep)
-
-    states = _execution_relation(p, db, qid, ctx.seeded_answers)
+    states = _execution_relation(p, db, qid, ctx)
     if not needed <= set(states.columns):
         return ConflictVerdict(
             qid, REALIZABLE, witness={},
@@ -526,11 +398,11 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
 def verify_all(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                combination: str = CONJUNCTION) -> SpuriousnessReport:
     """One verdict per distinct conflicting query, in query order."""
-    dep = constrain_relation(p)
+    _check_binding_tags(p, db)
     ctx = VerifyContext(mode="static")
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
-        entries.append(_decide_conflict(qid, ctx, p, db, dep, combination))
+        entries.append(_decide_conflict(qid, ctx, p, db, combination))
     return SpuriousnessReport(tuple(entries), mode="static")
 
 
@@ -541,11 +413,11 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
     """Re-verify the remaining conflicts after a conversation prefix.
 
     Conflicts behind branch decisions the prefix already took the other
-    way are dropped; answered queries become singleton assignable
-    relations. An empty trace degenerates to the static verdicts.
+    way are dropped; answered queries become singleton answer relations.
+    An empty trace degenerates to the static verdicts.
     """
+    _check_binding_tags(p, db)
     seeded, decided, reached = _replay_trace(p, db, trace)
-    dep = constrain_relation(p)
     ctx = VerifyContext(
         mode="step" if trace else "static", seeded_answers=seeded
     )
@@ -568,7 +440,7 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
             continue
         entries.append(
             _decide_conflict(
-                qid, ctx, p, db, dep, combination,
+                qid, ctx, p, db, combination,
                 drop_conditions_of=set(decided),
             )
         )
@@ -578,27 +450,55 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
 def parse_trace(raw, p: ProtocolAst, db: Database):
     """Decode a JSON trace (list of {queryId, answer, branch?} entries)
     into the internal (queryId, answer-dict | NO_ANSWER, decisions) form."""
+    if not isinstance(raw, list):
+        raise InconsistentTraceError("trace must be a list of entries")
     entries = []
     for item in raw:
-        if "queryId" not in item:
-            raise InconsistentTraceError("trace entry missing queryId")
+        if not isinstance(item, dict) or "queryId" not in item:
+            raise InconsistentTraceError("trace entry must be an object with a queryId")
         qid = item["queryId"]
         q = p.query(qid)
         raw_answer = item.get("answer")
         if raw_answer is None:
             answer = NO_ANSWER
+        elif not isinstance(raw_answer, dict):
+            raise InconsistentTraceError(
+                f"trace entry for query {qid}: 'answer' must be an object or null"
+            )
         else:
             answer = {}
             tags = _variable_tags(q, db)
             for var, raw_val in raw_answer.items():
-                answer[var] = values.value_from_json(raw_val, tags.get(var, "str"))
+                tag = tags.get(var, "str")
+                try:
+                    answer[var] = values.value_from_json(raw_val, tag)
+                except (TypeError, ValueError) as exc:
+                    raise InconsistentTraceError(
+                        f"trace entry for query {qid}: value of {var!r} is "
+                        f"not a {tag}: {exc}"
+                    ) from exc
         decisions = item.get("branch")
         if decisions is None:
             decisions = []
         elif isinstance(decisions, dict):
             decisions = [decisions]
-        entries.append((qid, answer, [(d["index"], bool(d["taken"])) for d in decisions]))
+        if not isinstance(decisions, list) or not all(
+            _is_decision(d) for d in decisions
+        ):
+            raise InconsistentTraceError(
+                f"trace entry for query {qid}: 'branch' must be an object, or "
+                f"a list of objects, with an integer 'index' and a boolean 'taken'"
+            )
+        entries.append((qid, answer, [(d["index"], d["taken"]) for d in decisions]))
     return entries
+
+
+def _is_decision(d) -> bool:
+    return (
+        isinstance(d, dict)
+        and type(d.get("index")) is int
+        and isinstance(d.get("taken"), bool)
+    )
 
 
 def _variable_tags(q: Query, db: Database) -> dict[str, str]:

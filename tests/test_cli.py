@@ -366,3 +366,94 @@ def test_check_protocol2(capsys):
     assert entry["details"]["variables"] == [
         {"attribute": "Color", "variable": "col"}
     ]
+
+
+def test_step_branch_without_index_exit_two(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(
+        json.dumps(
+            [
+                {
+                    "queryId": 1,
+                    "answer": {"t1": "ManualName", "a": "Knuth", "d1": "1973-01-01"},
+                },
+                {"queryId": 2, "answer": None, "branch": {"taken": False}},
+            ]
+        )
+    )
+    code, _out, err = run(
+        capsys,
+        "step",
+        "--server",
+        PUB_SERVER,
+        "--protocol",
+        PROTOCOL1,
+        "--db",
+        DB_REALIZABLE,
+        "--trace",
+        str(trace),
+    )
+    assert code == 2
+    assert "'branch'" in err
+
+
+def test_check_string_data_properties_exit_two(capsys, tmp_path):
+    server = tmp_path / "server.json"
+    server.write_text(
+        json.dumps({"classes": [{"name": "Base", "dataProperties": "abc"}]})
+    )
+    protocol = tmp_path / "p.pv"
+    protocol.write_text("get (a: x, c: y) from Base;")
+    code, _out, err = run(
+        capsys, "check", "--server", str(server), "--protocol", str(protocol)
+    )
+    assert code == 2
+    assert "dataProperties" in err
+
+
+def base_db(tmp_path):
+    """A one-class server whose attributes carry int, decimal and str
+    tags, with its data directory."""
+    server = tmp_path / "server.json"
+    server.write_text(
+        json.dumps(
+            {"classes": [{"name": "Base", "dataProperties": ["a1", "a2", "name", "price"]}]}
+        )
+    )
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "manifest.json").write_text(
+        json.dumps(
+            {"Base": {"a1": "int", "a2": "int", "name": "str", "price": "decimal"}}
+        )
+    )
+    (db / "Base.csv").write_text("a1,a2,name,price\n1,7,x,1.0\n2,3,y,2.5\n")
+    return str(server), str(db)
+
+
+def verify_rebinding(capsys, tmp_path, attr):
+    server, db = base_db(tmp_path)
+    protocol = tmp_path / "p.pv"
+    protocol.write_text(
+        f"get (a1: x) from Base; get ({attr}: x, a2: y) from Base;\n"
+        "if (y = 7) { get (ghost: g) from Missing; }\n"
+    )
+    return run(
+        capsys, "verify-db", "--server", server, "--protocol", str(protocol),
+        "--db", db, "--oracle", "--format", "json",
+    )
+
+
+def test_verify_db_incomparable_rebinding_exit_two(capsys, tmp_path):
+    code, out, err = verify_rebinding(capsys, tmp_path, "name")
+    assert code == 2
+    assert out == ""
+    assert "'x'" in err
+
+
+def test_verify_db_int_decimal_rebinding_gets_verdict(capsys, tmp_path):
+    code, out, _err = verify_rebinding(capsys, tmp_path, "price")
+    assert code == 1
+    (entry,) = json.loads(out)
+    assert entry["verdict"] == "realizable"
+    assert entry["oracleAgrees"] is True

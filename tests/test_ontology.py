@@ -64,6 +64,14 @@ def test_dangling_object_property_rejected():
         graph_from(doc)
 
 
+@pytest.mark.parametrize("field", ["dataProperties", "superclasses"])
+@pytest.mark.parametrize("value", ["abc", ["a", 1], {"a": "b"}])
+def test_name_list_fields_must_be_string_lists(field, value):
+    doc = {"classes": [{"name": "A"}, {"name": "B", field: value}]}
+    with pytest.raises(OntologyFormatError, match=field):
+        graph_from(doc)
+
+
 def test_alias_shadowing_rejected():
     doc = {
         "classes": [{"name": "A"}, {"name": "B"}],

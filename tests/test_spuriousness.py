@@ -11,92 +11,21 @@ from protoverify.errors import (
 from protoverify.oracle import is_reachable
 from protoverify.protocol import parse_protocol
 from protoverify.relstore import Relation, relation
+from protoverify import spuriousness
 from protoverify.spuriousness import (
-    CONJUNCTION,
     DISJUNCTION,
-    NO_ANSWER,
     VerifyContext,
-    constrain_relation,
+    _execution_relation,
     generate_assignable_set,
-    make_sets,
     parse_trace,
     query_prior_variables,
-    relevant_conditions,
-    restrict_set,
-    split_assignable_set,
-    split_set,
     step_verify,
     verify_all,
-    verify_conflict,
 )
-
-
-@pytest.fixture
-def chain_protocol():
-    return parse_protocol(
-        "get (title: t1) from Book;\n"
-        "get (title: t1, author: f2) from Book;\n"
-        "get (author: f2, title: f3) from Book;\n"
-    )
 
 
 def conflicts_for(p, server):
     return check_consistency(p, server)
-
-
-def test_constrain_edges_protocol1(protocol1):
-    dep = constrain_relation(protocol1)
-    assert ("a", "t2") in dep.edges
-    assert ("a", "t3") in dep.edges and ("a", "d2") in dep.edges
-    assert not any(t == "a" for _s, t in dep.edges)
-
-
-def test_constrain_edges_single_query():
-    p = parse_protocol("get (title: t, author: a) from Book;")
-    assert constrain_relation(p).edges == frozenset()
-
-
-def test_restrict_set_source(protocol1):
-    dep = constrain_relation(protocol1)
-    assert restrict_set(dep, {"a"}) == frozenset()
-
-
-def test_restrict_set_backward(protocol1):
-    dep = constrain_relation(protocol1)
-    assert restrict_set(dep, {"t3", "d2"}) == frozenset({"a"})
-
-
-def test_restrict_set_chain(chain_protocol):
-    dep = constrain_relation(chain_protocol)
-    assert restrict_set(dep, {"f3"}) == frozenset({"t1", "f2"})
-
-
-def test_split_set_protocol1(protocol1):
-    dep = constrain_relation(protocol1)
-    assert split_set(dep, protocol1, {"a"}, 3) == frozenset()
-    assert split_set(dep, protocol1, {"a", "t2"}, 3) == frozenset({"t2"})
-
-
-def test_split_set_no_branches(protocol2):
-    dep = constrain_relation(protocol2)
-    assert split_set(dep, protocol2, {"b1", "c1"}, 2) == frozenset()
-
-
-def test_make_sets_partition(protocol1):
-    assert make_sets(protocol1, {"a", "t2"}) == [
-        frozenset({"a"}),
-        frozenset({"t2"}),
-    ]
-    assert make_sets(protocol1, {"t1", "a", "d1"}) == [
-        frozenset({"t1", "a", "d1"})
-    ]
-    assert make_sets(protocol1, set()) == []
-
-
-def test_relevant_conditions(protocol1):
-    conds = relevant_conditions(protocol1, {"t2"}, 3)
-    assert [str(c) for c in conds] == ["(t2 != null)"]
-    assert relevant_conditions(protocol1, set(), 3) == []
 
 
 def test_query_prior_variables(protocol1):
@@ -164,38 +93,6 @@ def test_generate_repeated_variable_equates(pub_db_spurious):
     p = parse_protocol("get (title: x, author: x) from Book;")
     rel = generate_assignable_set(p.query(1), [], pub_db_spurious)
     assert rel.is_empty()
-
-
-def test_split_assignable_set(pub_db_spurious):
-    delta = relation("d", ["c1"], ["int"], [(5000,), (20000,)])
-    p = parse_protocol("get (a: c1) from K where (c1 > 10000);")
-    cond = p.query(1).where[0]
-    out = split_assignable_set(delta, {"c1"}, [cond])
-    assert out.rows == frozenset({(20000,)})
-    assert split_assignable_set(delta, set(), []).rows == delta.rows
-
-
-def test_verify_conflict_spurious(protocol1, pub_server, pub_db_spurious):
-    dep = constrain_relation(protocol1)
-    ctx = VerifyContext()
-    assert not verify_conflict({"t2"}, 3, ctx, protocol1, pub_db_spurious, dep)
-
-
-def test_verify_conflict_realizable(protocol1, pub_server, pub_db_realizable):
-    dep = constrain_relation(protocol1)
-    ctx = VerifyContext()
-    assert verify_conflict({"a", "t2"}, 3, ctx, protocol1, pub_db_realizable, dep)
-    cached = ctx.cache[frozenset({"a", "t2"})]
-    assert cached is not None and not cached.is_empty()
-
-
-def test_verify_conflict_memoizes(protocol1, pub_db_realizable):
-    dep = constrain_relation(protocol1)
-    ctx = VerifyContext()
-    verify_conflict({"t2"}, 3, ctx, protocol1, pub_db_realizable, dep)
-    first = ctx.cache[frozenset({"t2"})]
-    verify_conflict({"t2"}, 3, ctx, protocol1, pub_db_realizable, dep)
-    assert ctx.cache[frozenset({"t2"})] is first
 
 
 def test_verify_all_spurious(protocol1, pub_server, pub_db_spurious):
@@ -273,18 +170,50 @@ def test_disjunction_mode_weaker(pub_server, pub_db_spurious):
     assert loose.verdict_for(2) == "realizable"
 
 
-def test_cache_coherence(protocol1, pub_server, pub_db_realizable):
-    ms = conflicts_for(protocol1, pub_server)
-    dep = constrain_relation(protocol1)
+def test_cache_coherence(protocol1, pub_db_realizable):
+    """A cached answer relation equals one built fresh, and reusing it
+    leaves the execution states unchanged."""
     ctx = VerifyContext()
-    for m in ms:
-        verify_conflict({"t2"}, m.query_id, ctx, protocol1, pub_db_realizable, dep)
-    for key, rel in ctx.cache.items():
-        if rel is None:
-            continue
-        fresh = VerifyContext()
-        verify_conflict(key, 3, fresh, protocol1, pub_db_realizable, dep)
-        assert fresh.cache[key].rows == rel.rows
+    first = _execution_relation(protocol1, pub_db_realizable, 3, ctx)
+    assert set(ctx.answers) == {1, 2}
+    assert _execution_relation(protocol1, pub_db_realizable, 3, ctx) == first
+    for qid, (rel, _deferred) in ctx.answers.items():
+        fresh = generate_assignable_set(protocol1.query(qid), [], pub_db_realizable)
+        assert rel.rows == fresh.rows
+
+
+SHARED_PREFIX = (
+    "get (title: t1, author: a) from Manual where (t1 = 'ManualName');\n"
+    "get (title: t2, author: a) from Book;\n"
+    "if (t2 != null) { get (title: t3) from Book.Proceedings; }\n"
+    "if (a = 'Knuth') { get (title: t4) from Book.Proceedings; }\n"
+    "if (t1 = 'Other') { get (title: t5) from Book.Proceedings; }\n"
+)
+
+
+def test_verify_all_builds_each_answer_once(
+    monkeypatch, pub_server, pub_db_realizable
+):
+    p = parse_protocol(SHARED_PREFIX)
+    ms = conflicts_for(p, pub_server)
+    assert len({m.query_id for m in ms}) == 3
+    built = []
+    real = spuriousness.generate_assignable_set
+
+    def counting(q, prior_tables, db):
+        built.append(q.id)
+        return real(q, prior_tables, db)
+
+    monkeypatch.setattr(spuriousness, "generate_assignable_set", counting)
+    report = verify_all(p, pub_server, pub_db_realizable, ms)
+    assert sorted(built) == [1, 2]
+    assert [e.verdict for e in report.entries] == [
+        "realizable", "realizable", "spurious"
+    ]
+    for qid in (3, 4, 5):
+        assert (report.verdict_for(qid) == "realizable") == is_reachable(
+            p, pub_db_realizable, qid
+        )
 
 
 def test_monotonicity_on_fixture(protocol1, pub_server, pub_db_realizable):
@@ -395,3 +324,35 @@ def test_step_out_of_order(protocol1, pub_server, pub_db_spurious):
     trace = parse_trace(raw, protocol1, pub_db_spurious)
     with pytest.raises(InconsistentTraceError):
         step_verify(protocol1, pub_server, pub_db_spurious, [], trace)
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        {"taken": False},
+        {"index": 1},
+        "1",
+        [{"index": 1, "taken": True}, 1],
+        {"index": "1", "taken": True},
+        {"index": 1, "taken": "no"},
+    ],
+)
+def test_parse_trace_malformed_branch(protocol1, pub_db_spurious, branch):
+    raw = [{"queryId": 1, "answer": q1_answer(), "branch": branch}]
+    with pytest.raises(InconsistentTraceError, match="'branch'"):
+        parse_trace(raw, protocol1, pub_db_spurious)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"queryId": 1},
+        [1],
+        [{"answer": None}],
+        [{"queryId": 1, "answer": 5}],
+        [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": "not a date"}}],
+    ],
+)
+def test_parse_trace_malformed_entry(protocol1, pub_db_spurious, raw):
+    with pytest.raises(InconsistentTraceError):
+        parse_trace(raw, protocol1, pub_db_spurious)
