@@ -10,11 +10,13 @@ from protoverify.errors import (
 )
 from protoverify.oracle import is_reachable
 from protoverify.protocol import parse_protocol
-from protoverify.relstore import Relation, relation
+from protoverify.relstore import Relation, relation, select
 from protoverify import spuriousness
 from protoverify.spuriousness import (
+    CONJUNCTION,
     DISJUNCTION,
     VerifyContext,
+    _decide_conflict,
     _execution_relation,
     generate_assignable_set,
     parse_trace,
@@ -93,6 +95,41 @@ def test_generate_repeated_variable_equates(pub_db_spurious):
     p = parse_protocol("get (title: x, author: x) from Book;")
     rel = generate_assignable_set(p.query(1), [], pub_db_spurious)
     assert rel.is_empty()
+
+
+def test_split_assignable_set():
+    """Path conditions filter an assignable relation; no conditions keep
+    it whole."""
+    delta = relation("d", ["c1"], ["int"], [(5000,), (20000,)])
+    p = parse_protocol("get (a: c1) from K where (c1 > 10000);")
+    cond = p.query(1).where[0]
+    out = select(delta, [cond])
+    assert out.rows == frozenset({(20000,)})
+    assert select(delta, []).rows == delta.rows
+
+
+def test_verify_conflict_spurious(protocol1, pub_db_spurious):
+    ctx = VerifyContext()
+    verdict = _decide_conflict(3, ctx, protocol1, pub_db_spurious, CONJUNCTION)
+    assert verdict.verdict == "spurious"
+    assert verdict.emptied_at == ("t2",)
+
+
+def test_verify_conflict_realizable(protocol1, pub_db_realizable):
+    ctx = VerifyContext()
+    verdict = _decide_conflict(3, ctx, protocol1, pub_db_realizable, CONJUNCTION)
+    assert verdict.verdict == "realizable"
+    assert verdict.witness["t2"] == "TAOCP"
+    cached, _deferred = ctx.answers[2]
+    assert not cached.is_empty()
+
+
+def test_verify_conflict_memoizes(protocol1, pub_db_realizable):
+    ctx = VerifyContext()
+    _decide_conflict(3, ctx, protocol1, pub_db_realizable, CONJUNCTION)
+    first = ctx.answers[2]
+    _decide_conflict(3, ctx, protocol1, pub_db_realizable, CONJUNCTION)
+    assert ctx.answers[2] is first
 
 
 def test_verify_all_spurious(protocol1, pub_server, pub_db_spurious):
