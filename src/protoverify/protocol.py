@@ -37,6 +37,11 @@ _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 KEYWORDS = {"get", "from", "where", "if", "else", "do", "null"}
 
+# Deepest ``if`` nesting the parser accepts. The parser and the analyses
+# recurse once per level, so this keeps them well inside Python's
+# recursion limit.
+MAX_NESTING = 100
+
 
 # --- AST ---
 
@@ -249,6 +254,7 @@ class _Parser:
         self.pos = 0
         self.next_query_id = 1
         self.next_branch_id = 1
+        self.depth = 0  # blocks enclosing the current statement
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -403,7 +409,11 @@ class _Parser:
         self.error("expected operand")
 
     def parse_branch(self) -> Branch:
-        self.expect("NAME", "if")
+        tok = self.expect("NAME", "if")
+        if self.depth >= MAX_NESTING:
+            raise ProtocolSyntaxError(
+                f"'if' nested more than {MAX_NESTING} deep", tok.line, tok.column
+            )
         conds = tuple(self.parse_condition_list())
         bid = self.next_branch_id
         self.next_branch_id += 1
@@ -416,7 +426,9 @@ class _Parser:
 
     def parse_block(self) -> list[Statement]:
         self.expect("PUNCT", "{")
+        self.depth += 1
         stmts = self.parse_statements(until="}")
+        self.depth -= 1
         self.expect("PUNCT", "}")
         return stmts
 

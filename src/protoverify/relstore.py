@@ -160,13 +160,18 @@ def rename(r: Relation, mapping: dict[str, str]) -> Relation:
 # --- database ---
 
 class Database:
-    """Tables for exactly the non-abstract classes of a server ontology."""
+    """Tables for exactly the non-abstract classes of a server ontology.
+
+    Neither the tables nor the ontology change after construction, so
+    class extents are built once per instance (see ``class_extent``).
+    """
 
     def __init__(self, tables: dict[str, Relation], ontology: OntologyGraph,
                  property_tags: dict[str, str]):
         self.tables = dict(tables)
         self.ontology = ontology
         self.property_tags = dict(property_tags)
+        self.extents: dict[str, Relation] = {}
 
     def with_tables(self, tables: dict[str, Relation]) -> "Database":
         """Copy with some tables replaced; used by deletion experiments."""
@@ -267,10 +272,12 @@ def _load_table(path, cls_name, expected_cols, property_tags) -> Relation:
 def class_extent(db: Database, class_name: str) -> Relation:
     """The relation a query ``from C`` scans: the class's own table
     unioned with all non-abstract descendants' tables, projected onto the
-    class's effective properties."""
+    class's effective properties. Built once per database and class."""
     node = db.ontology.find_match(class_name)
     if node is None:
         raise NoExtentError(f"unknown class {class_name!r}")
+    if node.name in db.extents:
+        return db.extents[node.name]
     columns = tuple(sorted(db.ontology.effective_properties(node.name)))
     contributors = extent_tables(db, node.name)
     if not contributors:
@@ -284,7 +291,9 @@ def class_extent(db: Database, class_name: str) -> Relation:
         idx = [table.index(c) for c in columns]
         for row in table.rows:
             rows.add(tuple(row[i] for i in idx))
-    return Relation(columns, tags, frozenset(rows), node.name)
+    extent = Relation(columns, tags, frozenset(rows), node.name)
+    db.extents[node.name] = extent
+    return extent
 
 
 def extent_tables(db: Database, class_name: str) -> list[str]:

@@ -5,13 +5,17 @@ conflicting query whether the current back-end database can actually
 drive an execution into it (realizable, with a witness tuple) or whether
 every correct instantiation avoids it (spurious).
 
-The verdict comes from the execution-state relation of the path to the
+The verdict comes from the execution states of the path to the
 conflict: each query on the path extends every state with the answers
 the database can give it, a state without a matching answer continues
 with null bindings, and each branch on the path must evaluate to the arm
-the path takes. A query's answer relation depends only on the query and
-the database, so one verification call builds it at most once and
-shares it across all conflicts whose paths pass through the query.
+the path takes. States are projected onto the variables that a later
+path query or a guard still reads, keeping the smallest full row behind
+each projected state for the witness, and each query finds a state's
+answers through a hash index on the variables they share. A query's
+answer relation depends only on the query and the database, so one
+verification call builds it at most once and shares it across all
+conflicts whose paths pass through the query.
 
 Step mode seeds concrete answers from a conversation prefix and prunes
 conflicts behind branch decisions that were already taken.
@@ -310,51 +314,97 @@ def _answers(q: Query, ctx: VerifyContext, db: Database):
     return ctx.answers[q.id]
 
 
-def _execution_relation(p: ProtocolAst, db: Database, target: int,
-                        ctx: VerifyContext) -> Relation:
-    """All variable states an execution can be in when it arrives at the
-    target query, one row per reachable state.
+@dataclass(frozen=True)
+class ReachingStates:
+    """The states an execution can be in when it arrives at a query.
 
-    Each path query extends every prior state with its possible answers;
-    a state with no matching answer continues with the fresh variables
-    null, mirroring the evaluator's no-answer semantics. The relation is
-    therefore never empty.
+    ``columns`` lists every variable the path binds, in binding order.
+    A state is keyed by its values of ``live``, the columns a later path
+    query or a guard still reads; all states with one key extend and
+    branch alike. ``smallest`` maps each key to the least full row (in
+    ``values.sort_key`` order over ``columns``) among those it stands for.
+    """
+
+    columns: tuple[str, ...]
+    live: tuple[str, ...]
+    smallest: dict[tuple, tuple]
+
+
+def _row_key(row) -> tuple:
+    return tuple(map(values.sort_key, row))
+
+
+def _reaching_states(p: ProtocolAst, db: Database, target: int,
+                     ctx: VerifyContext, needed: set[str]) -> ReachingStates:
+    """Extend the states query by query along the path to the target.
+
+    Each path query extends a state with the answers that agree on the
+    variables they share (null never agrees) and satisfy its deferred
+    where conditions; a state with no such answer continues with the
+    fresh variables null, mirroring the evaluator's no-answer semantics,
+    so there is always at least one state.
+
+    Only the live variables key a state: those the guard variables in
+    ``needed`` or a later path query (its bindings or where conditions)
+    read. Keeping the smallest full row per key is exact, because the
+    extensions of a row depend only on its key and the least extended
+    row is the least row extended by the least extension.
     """
     queries, _found = _path_queries(p.statements, target)
+    live_after: list[frozenset[str]] = []
+    read_later = set(needed)
+    for q in reversed(queries):
+        live_after.append(frozenset(read_later))
+        read_later.update(q.output_variables())
+        for cond in q.where:
+            read_later |= cond.variables()
+    live_after.reverse()
+
     cols: list[str] = []
-    tags: list[str] = []
-    rows: set[tuple] = {()}
-    for q in queries:
+    key_cols: list[str] = []
+    # key -> (sort key of the smallest full row, that row)
+    states: dict[tuple, tuple[tuple, tuple]] = {(): ((), ())}
+    for q, live in zip(queries, live_after):
         answers, deferred = _answers(q, ctx, db)
         a_cols = answers.columns
-        shared = [v for v in a_cols if v in cols]
-        new_vars = [v for v in a_cols if v not in cols]
-        a_index = {v: i for i, v in enumerate(a_cols)}
-        next_rows: set[tuple] = set()
-        for row in rows:
-            env = dict(zip(cols, row))
+        shared = [i for i, v in enumerate(a_cols) if v in cols]
+        fresh = [i for i, v in enumerate(a_cols) if v not in cols]
+        probe_at = [key_cols.index(a_cols[i]) for i in shared]
+        buckets: dict[tuple, list[tuple]] = {}
+        for arow in answers.rows:
+            probe = tuple(arow[i] for i in shared)
+            if None not in probe:
+                buckets.setdefault(probe, []).append(arow)
+        wide_cols = key_cols + [a_cols[i] for i in fresh]
+        keep = [i for i, v in enumerate(wide_cols) if v in live]
+        next_states: dict[tuple, tuple[tuple, tuple]] = {}
+        for key, (sort_key, row) in states.items():
+            probe = tuple(key[j] for j in probe_at)
             extensions: set[tuple] = set()
-            for arow in answers.rows:
-                ok = True
-                for v in shared:
-                    cell = arow[a_index[v]]
-                    if env[v] is None or cell is None or env[v] != cell:
-                        ok = False
-                        break
-                if ok and deferred:
-                    full = dict(env)
-                    full.update(zip(a_cols, arow))
-                    ok = all(eval_condition(c, full) for c in deferred)
-                if ok:
-                    extensions.add(tuple(arow[a_index[v]] for v in new_vars))
-            if extensions:
-                next_rows.update(row + ext for ext in extensions)
-            else:
-                next_rows.add(row + (None,) * len(new_vars))
-        cols.extend(new_vars)
-        tags.extend(answers.tags[a_index[v]] for v in new_vars)
-        rows = next_rows
-    return Relation(tuple(cols), tuple(tags), frozenset(rows), f"reach:{target}")
+            if None not in probe:
+                for arow in buckets.get(probe, ()):
+                    if deferred:
+                        env = dict(zip(key_cols, key))
+                        env.update(zip(a_cols, arow))
+                        if not all(eval_condition(c, env) for c in deferred):
+                            continue
+                    extensions.add(tuple(arow[i] for i in fresh))
+            if not extensions:
+                extensions.add((None,) * len(fresh))
+            for ext in extensions:
+                wide = key + ext
+                next_key = tuple(wide[i] for i in keep)
+                ext_sort_key = sort_key + _row_key(ext)
+                best = next_states.get(next_key)
+                if best is None or ext_sort_key < best[0]:
+                    next_states[next_key] = (ext_sort_key, row + ext)
+        cols.extend(a_cols[i] for i in fresh)
+        key_cols = [wide_cols[i] for i in keep]
+        states = next_states
+    return ReachingStates(
+        tuple(cols), tuple(key_cols),
+        {key: row for key, (_sort_key, row) in states.items()},
+    )
 
 
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
@@ -369,7 +419,7 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
         for cond in conds:
             needed |= cond.variables()
 
-    states = _execution_relation(p, db, qid, ctx)
+    states = _reaching_states(p, db, qid, ctx, needed)
     if not needed <= set(states.columns):
         return ConflictVerdict(
             qid, REALIZABLE, witness={},
@@ -378,8 +428,8 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
         )
 
     reaching = []
-    for row in states.rows:
-        env = dict(zip(states.columns, row))
+    for key, row in states.smallest.items():
+        env = dict(zip(states.live, key))
         checks = [
             all(eval_condition(c, env) for c in conds) == arm
             for conds, arm in pairs
@@ -388,10 +438,7 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
             reaching.append(row)
     if not reaching:
         return ConflictVerdict(qid, SPURIOUS, emptied_at=tuple(sorted(needed)))
-    witness_row = min(
-        reaching, key=lambda r: tuple(values.sort_key(v) for v in r)
-    )
-    witness = dict(zip(states.columns, witness_row))
+    witness = dict(zip(states.columns, min(reaching, key=_row_key)))
     return ConflictVerdict(qid, REALIZABLE, witness=witness)
 
 

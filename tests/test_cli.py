@@ -5,6 +5,7 @@ import json
 import pytest
 
 from protoverify.cli import main
+from protoverify.protocol import MAX_NESTING
 
 from conftest import FIXTURES
 
@@ -321,6 +322,42 @@ def test_parse_syntax_error_exit_two(capsys, tmp_path):
     code, _out, err = run(capsys, "parse", "--protocol", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def nested_conflict(tmp_path, depth):
+    """A conflicting query inside ``depth`` nested ifs."""
+    path = tmp_path / f"nested{depth}.pv"
+    path.write_text(
+        "get (title: t) from Book;\n"
+        + "if (t != null) {\n" * depth
+        + "get (title: u) from Book.Proceedings;\n"
+        + "}\n" * depth
+    )
+    return str(path)
+
+
+def test_deep_nesting_exit_two(capsys, tmp_path):
+    deep = nested_conflict(tmp_path, 600)
+    for argv in (
+        ("parse", "--protocol", deep),
+        ("verify-db", "--server", PUB_SERVER, "--protocol", deep,
+         "--db", DB_REALIZABLE),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nested" in err and "Traceback" not in err
+
+
+def test_deepest_nesting_verifies_with_oracle(capsys, tmp_path):
+    code, out, _err = run(
+        capsys, "verify-db", "--server", PUB_SERVER,
+        "--protocol", nested_conflict(tmp_path, MAX_NESTING),
+        "--db", DB_REALIZABLE, "--oracle", "--format", "json",
+    )
+    assert code == 1
+    (entry,) = json.loads(out)
+    assert entry["verdict"] == "realizable" and entry["oracleAgrees"] is True
 
 
 def test_parse_json(capsys):

@@ -12,6 +12,7 @@ from protoverify.errors import (
     UnknownVariableError,
 )
 from protoverify.protocol import (
+    MAX_NESTING,
     Branch,
     Condition,
     Lit,
@@ -78,6 +79,26 @@ def test_syntax_error_carries_position():
         parse_protocol("get (title t) from Book;")
     assert exc.value.line == 1
     assert exc.value.column > 0
+
+
+def nested_ifs(depth):
+    """A query, then ``depth`` nested ifs around a second query."""
+    return (
+        "get (title: t) from Book;\n"
+        + "if (t != null) {\n" * depth
+        + "get (title: u) from Book;\n"
+        + "}\n" * depth
+    )
+
+
+def test_nesting_bound():
+    deepest = parse_protocol(nested_ifs(MAX_NESTING))
+    assert len(branch_path(deepest, 2)) == MAX_NESTING
+    assert parse_protocol(print_protocol(deepest)) == deepest
+    with pytest.raises(ProtocolSyntaxError) as exc:
+        parse_protocol(nested_ifs(MAX_NESTING + 1))
+    # The first ``if`` is on line 2; the one past the bound is the last.
+    assert exc.value.line == MAX_NESTING + 2
 
 
 def test_consecutive_repeat_in_sequence_rejected():

@@ -257,6 +257,22 @@ def test_class_extent_contains_descendants(pub_db_spurious, pub_server):
             assert canonical_rows(projected) <= canonical_rows(parent)
 
 
+def test_class_extent_built_once_per_database(pub_db_realizable):
+    """Repeated calls share one extent; a copy with a row deleted builds
+    its own, without that row."""
+    books = class_extent(pub_db_realizable, "Book")
+    assert class_extent(pub_db_realizable, "Book") is books
+    table = pub_db_realizable.tables["Book"]
+    gone = next(r for r in table.rows if r[table.index("title")] == "TAOCP")
+    smaller = pub_db_realizable.with_tables(
+        {"Book": Relation(table.columns, table.tags, table.rows - {gone}, "Book")}
+    )
+    fewer = class_extent(smaller, "Book")
+    assert len(fewer.rows) == len(books.rows) - 1
+    assert all(r[fewer.index("title")] != "TAOCP" for r in fewer.rows)
+    assert any(r[books.index("title")] == "TAOCP" for r in books.rows)
+
+
 def test_no_extent_error(pub_server, tmp_path):
     doc = {"classes": [{"name": "Lone", "abstract": True, "dataProperties": ["x"]}]}
     from protoverify.ontology import parse_ontology

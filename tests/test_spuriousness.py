@@ -1,23 +1,27 @@
 """Tests for the database-level spuriousness engine."""
 
+import random
+
 import pytest
 
+from instgen import make_instance
+from protoverify import values
 from protoverify.consistency import check_consistency
 from protoverify.errors import (
     InconsistentTraceError,
     UncoveredBindingError,
     UnresolvableClassError,
 )
-from protoverify.oracle import is_reachable
+from protoverify.oracle import enumerate_reaching_traces, is_reachable
 from protoverify.protocol import parse_protocol
-from protoverify.relstore import Relation, relation, select
+from protoverify.relstore import Relation, class_extent, relation, select
 from protoverify import spuriousness
 from protoverify.spuriousness import (
     CONJUNCTION,
     DISJUNCTION,
     VerifyContext,
     _decide_conflict,
-    _execution_relation,
+    _reaching_states,
     generate_assignable_set,
     parse_trace,
     query_prior_variables,
@@ -211,12 +215,70 @@ def test_cache_coherence(protocol1, pub_db_realizable):
     """A cached answer relation equals one built fresh, and reusing it
     leaves the execution states unchanged."""
     ctx = VerifyContext()
-    first = _execution_relation(protocol1, pub_db_realizable, 3, ctx)
+    first = _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"})
     assert set(ctx.answers) == {1, 2}
-    assert _execution_relation(protocol1, pub_db_realizable, 3, ctx) == first
+    assert _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"}) == first
     for qid, (rel, _deferred) in ctx.answers.items():
         fresh = generate_assignable_set(protocol1.query(qid), [], pub_db_realizable)
         assert rel.rows == fresh.rows
+
+
+def straight_titles(k):
+    """k straight-line Book lookups, then a conflict guarded by t0."""
+    return (
+        "".join(f"get (title: t{i}) from Book;\n" for i in range(k))
+        + "if (t0 != null) { get (title: c) from Book.Proceedings; }\n"
+    )
+
+
+def test_states_are_projected_onto_live_variables(pub_server, pub_db_realizable):
+    """Only t0 is read after the lookups, so the three Book titles give
+    at most three states where the full relation has 3^12."""
+    p = parse_protocol(straight_titles(12))
+    states = _reaching_states(p, pub_db_realizable, 13, VerifyContext(), {"t0"})
+    assert states.live == ("t0",)
+    assert len(states.smallest) <= 3
+    assert states.columns == tuple(f"t{i}" for i in range(12))
+    # Every execution reaches the conflict, so the witness takes the
+    # least Book title for every variable.
+    books = class_extent(pub_db_realizable, "Book")
+    least = min(row[books.index("title")] for row in books.rows)
+    report = verify_all(p, pub_server, pub_db_realizable, conflicts_for(p, pub_server))
+    assert report.entries[0].witness == {f"t{i}": least for i in range(12)}
+    # The oracle enumerates every execution (3^k of them), so it checks
+    # the same shape at k = 6.
+    small = parse_protocol(straight_titles(6))
+    entry = verify_all(
+        small, pub_server, pub_db_realizable, conflicts_for(small, pub_server)
+    ).entries[0]
+    traces = enumerate_reaching_traces(small, pub_db_realizable, 7).traces
+    assert entry.verdict == "realizable" and traces
+    assert entry.witness == smallest_env(traces, entry.witness)
+
+
+def smallest_env(traces, witness):
+    """The least arrival environment over the witness's columns."""
+    cols = list(witness)
+    envs = [tuple(t.env_dict()[c] for c in cols) for t in traces]
+    least = min(envs, key=lambda env: tuple(values.sort_key(v) for v in env))
+    return dict(zip(cols, least))
+
+
+def test_witness_is_smallest_oracle_execution():
+    """The engine's verdict is the oracle's, and a realizable witness is
+    the least arrival environment over all reaching executions."""
+    checked = 0
+    for seed in range(400):
+        inst = make_instance(random.Random(seed), force_branch=seed % 2 == 1)
+        conflicts = conflicts_for(inst.ast, inst.server)
+        report = verify_all(inst.ast, inst.server, inst.db, conflicts)
+        entry = next(e for e in report.entries if e.query_id == inst.conflict_qid)
+        traces = enumerate_reaching_traces(inst.ast, inst.db, inst.conflict_qid).traces
+        assert (entry.verdict == "realizable") == bool(traces), inst.text
+        if traces and entry.witness:
+            assert entry.witness == smallest_env(traces, entry.witness), inst.text
+            checked += 1
+    assert checked > 100
 
 
 SHARED_PREFIX = (
