@@ -13,6 +13,7 @@ Exit codes are a stable contract: 0 clean, 1 findings, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -82,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("--protocol", required=True)
     p_parse.add_argument("--format", choices=("text", "json"), default="text")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after."""
+    return build_parser()
 
 
 def _load_inputs(args, with_db=False):
@@ -222,8 +229,7 @@ def _ast_to_json(ast):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "check": cmd_check,
         "verify-db": cmd_verify_db,

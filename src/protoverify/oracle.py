@@ -131,86 +131,105 @@ def _answers(q: Query, env: dict, db: Database):
 def enumerate_reaching_traces(p: ProtocolAst, db: Database, target: int,
                               bound: int = DEFAULT_BOUND) -> OracleResult:
     """All executions (up to the step bound) that arrive at the target
-    query. Arrival counts; the target itself is never evaluated."""
+    query, in depth-first order. Arrival counts; the target itself is
+    never evaluated."""
+    return _search(p, db, target, bound, first_only=False)
+
+
+def _search(p: ProtocolAst, db: Database, target: int, bound: int,
+            first_only: bool) -> OracleResult:
+    """Depth-first enumeration with an explicit stack, so protocol length
+    is bounded by memory rather than by the recursion limit.
+
+    The statements still to run form a linked list ``(statement, rest)``,
+    so entering a branch arm shares the continuation behind it. The
+    bindings, answers and branch outcomes of the current prefix are
+    mutated in place and undone when the search backs out of a choice.
+    With ``first_only`` the search stops at the first arrival.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
     traces: list[Trace] = []
     steps = 0
-    truncated = False
-
-    def fresh_vars(q: Query) -> list[str]:
-        out = []
-        for var in q.output_variables():
-            if var not in current_env:
-                out.append(var)
-        return out
-
-    current_env: dict[str, object] = {}
-
-    def run(cont, entries, branches):
-        nonlocal steps, truncated
-        if truncated:
-            return
-        if not cont:
-            return
-        st, rest = cont[0], cont[1:]
-        if isinstance(st, Query):
-            if st.id == target:
-                traces.append(
-                    Trace(
-                        tuple(entries),
-                        tuple(branches),
-                        tuple(sorted(current_env.items())),
-                    )
-                )
-                return
-            steps += 1
-            if steps > bound:
-                truncated = True
-                return
-            answers = _answers(st, current_env, db)
-            if not answers:
-                added = fresh_vars(st)
-                for var in added:
-                    current_env[var] = None
-                run(rest, entries + [(st.id, None)], branches)
-                for var in added:
-                    del current_env[var]
-                return
-            out_vars = st.output_variables()
-            for ans in answers:
-                saved = {v: current_env.get(v, _MISSING) for v in out_vars}
-                current_env.update(ans)
-                run(
-                    rest,
-                    entries + [(st.id, tuple(ans[v] for v in out_vars))],
-                    branches,
-                )
+    env: dict[str, object] = {}
+    entries: list[tuple[int, tuple | None]] = []
+    branches: list[tuple[int, bool]] = []
+    # Tasks: (_RUN, continuation), (_CHOOSE, query id, options, index,
+    # continuation, saved bindings), or (_LEAVE_BRANCH,).
+    stack: list[tuple] = [(_RUN, _chain(p.statements, None))]
+    while stack:
+        task = stack.pop()
+        kind = task[0]
+        if kind is _LEAVE_BRANCH:
+            branches.pop()
+        elif kind is _CHOOSE:
+            _, qid, options, k, rest, saved = task
+            if k:
+                # Undo the previous option.
+                entries.pop()
                 for v, old in saved.items():
                     if old is _MISSING:
-                        del current_env[v]
+                        del env[v]
                     else:
-                        current_env[v] = old
-                if truncated:
-                    return
-        elif isinstance(st, Branch):
-            outcome = all(eval_condition(c, current_env) for c in st.conditions)
-            arm = st.then_block if outcome else (st.else_block or ())
-            run(list(arm) + rest, entries, branches + [(st.id, outcome)])
-        elif isinstance(st, Action):
-            run(rest, entries, branches)
+                        env[v] = old
+            if k < len(options):
+                answer, assignment = options[k]
+                env.update(assignment)
+                entries.append((qid, answer))
+                stack.append((_CHOOSE, qid, options, k + 1, rest, saved))
+                stack.append((_RUN, rest))
+        else:
+            cont = task[1]
+            if cont is None:
+                continue
+            st, rest = cont
+            if isinstance(st, Query):
+                if st.id == target:
+                    traces.append(
+                        Trace(tuple(entries), tuple(branches), tuple(sorted(env.items())))
+                    )
+                    if first_only:
+                        break
+                    continue
+                steps += 1
+                if steps > bound:
+                    return OracleResult(tuple(traces), True)
+                out_vars = st.output_variables()
+                answers = _answers(st, env, db)
+                if answers:
+                    options = [(tuple(a[v] for v in out_vars), a) for a in answers]
+                else:
+                    # No answer: the fresh variables come back null.
+                    options = [(None, {v: None for v in out_vars if v not in env})]
+                saved = {v: env.get(v, _MISSING) for v in options[0][1]}
+                stack.append((_CHOOSE, st.id, options, 0, rest, saved))
+            elif isinstance(st, Branch):
+                outcome = all(eval_condition(c, env) for c in st.conditions)
+                arm = st.then_block if outcome else (st.else_block or ())
+                branches.append((st.id, outcome))
+                stack.append((_LEAVE_BRANCH,))
+                stack.append((_RUN, _chain(arm, rest)))
+            elif isinstance(st, Action):
+                stack.append((_RUN, rest))
+    return OracleResult(tuple(traces), False)
 
-    run(list(p.statements), [], [])
-    return OracleResult(tuple(traces), truncated)
+
+def _chain(stmts, rest):
+    """The statements prepended to the continuation ``rest``."""
+    for st in reversed(stmts):
+        rest = (st, rest)
+    return rest
 
 
+_RUN, _CHOOSE, _LEAVE_BRANCH = "run", "choose", "leave-branch"
 _MISSING = object()
 
 
 def is_reachable(p: ProtocolAst, db: Database, target: int,
                  bound: int = DEFAULT_BOUND) -> bool:
-    """True iff at least one execution reaches the target query."""
-    result = enumerate_reaching_traces(p, db, target, bound)
+    """True iff at least one execution reaches the target query; the
+    search stops at the first arrival."""
+    result = _search(p, db, target, bound, first_only=True)
     if result.truncated and not result.traces:
         raise BoundExceededError(
             f"enumeration bound {bound} exceeded before reaching query {target}"

@@ -16,6 +16,7 @@ opaque external action. Branching is structured if/else only.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -666,6 +667,96 @@ def eval_condition(cond: Condition, env: dict) -> bool:
     if cond.op == "<=":
         return lv <= rv
     return lv >= rv
+
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def compile_condition(cond: Condition, columns):
+    """A predicate over row tuples aligned with ``columns`` that agrees
+    with ``eval_condition(cond, dict(zip(columns, row)))``, including the
+    errors it raises and the order it raises them in.
+
+    Operands are resolved to a tuple position or a literal once. A column
+    named twice resolves to its last position, as in the dict. A variable
+    missing from ``columns`` raises ``KeyError`` only when the predicate
+    runs, as the dict lookup would. Cells are only ever int, float, str or
+    date, so values of one Python type always have comparable tags and the
+    tag check runs only on values of different types.
+    """
+    position = {name: i for i, name in enumerate(columns)}
+    compare = _COMPARE[cond.op]
+    lhs, rhs = cond.lhs, cond.rhs
+    if (isinstance(lhs, Var) and lhs.date_field is None and lhs.name in position
+            and isinstance(rhs, Lit) and rhs.value is not None):
+        # The common shape, a column against a literal, without operand calls.
+        i, lit = position[lhs.name], rhs.value
+        lit_type = type(lit)
+
+        def column_vs_literal(row):
+            lv = row[i]
+            if lv is None:
+                return False
+            if type(lv) is not lit_type:
+                _require_comparable(lv, lit)
+            return compare(lv, lit)
+
+        return column_vs_literal
+
+    lget = _compile_operand(lhs, position)
+    rget = _compile_operand(rhs, position)
+    # A null literal makes one side null, so only ``= null`` (both sides
+    # null) and ``!= null`` (not both null) can hold.
+    null_test = None
+    if cond.is_null_literal_test() and cond.op in ("=", "!="):
+        null_test = cond.op == "="
+
+    def comparison(row):
+        lv = lget(row)
+        rv = rget(row)
+        if lv is None or rv is None:
+            return null_test is not None and (lv is None and rv is None) == null_test
+        if type(lv) is not type(rv):
+            _require_comparable(lv, rv)
+        return compare(lv, rv)
+
+    return comparison
+
+
+def _compile_operand(operand: Var | Lit, position: dict):
+    """A function of a row that resolves the operand as
+    ``resolve_operand`` resolves it against the row's dict."""
+    if isinstance(operand, Lit):
+        value = operand.value
+        return lambda row: value
+    name, date_field = operand.name, operand.date_field
+    if name not in position:
+        def missing(row):
+            raise KeyError(name)
+
+        return missing
+    i = position[name]
+    if date_field is None:
+        return operator.itemgetter(i)
+
+    def date_part(row):
+        value = row[i]
+        if value is None:
+            return None
+        if not isinstance(value, datetime.date):
+            raise IncomparableTagsError(
+                f"date-field access on non-date value of {name!r}"
+            )
+        return getattr(value, date_field)
+
+    return date_part
 
 
 def _require_comparable(lv, rv):

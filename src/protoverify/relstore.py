@@ -2,14 +2,19 @@
 
 One table per non-abstract ontology class; relations are immutable
 values with set semantics (no duplicate rows). The algebra (natural
-join, projection, selection) builds the answer relations of protocol
-queries.
+join, projection, selection, renaming) builds the answer relations of
+protocol queries. Selection compiles each condition once into a
+predicate over row tuples (``protocol.compile_condition``). A relation
+the algebra builds gets its schema checked but not the arity of every
+row, because its rows come from rows of known arity; a relation built
+directly, as loaders and callers do, gets every check.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -22,7 +27,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .ontology import OntologyGraph
-from .protocol import Condition, eval_condition
+from .protocol import compile_condition
 
 
 @dataclass(frozen=True)
@@ -39,15 +44,24 @@ class Relation:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.columns) != len(set(self.columns)):
-            raise SchemaError(f"duplicate column in relation {self.name!r}")
-        if len(self.columns) != len(self.tags):
-            raise SchemaError("columns and tags must align")
+        _check_schema(self.columns, self.tags, self.name)
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise SchemaError(
                     f"row arity {len(row)} does not match schema of {self.name!r}"
                 )
+
+    @classmethod
+    def _derived(cls, columns, tags, rows, name="") -> "Relation":
+        """A relation the algebra built from rows of known arity: the
+        schema is checked, the rows are not."""
+        _check_schema(columns, tags, name)
+        r = object.__new__(cls)
+        object.__setattr__(r, "columns", columns)
+        object.__setattr__(r, "tags", tags)
+        object.__setattr__(r, "rows", rows)
+        object.__setattr__(r, "name", name)
+        return r
 
     def index(self, column: str) -> int:
         try:
@@ -69,6 +83,13 @@ class Relation:
 
     def is_empty(self) -> bool:
         return not self.rows
+
+
+def _check_schema(columns, tags, name):
+    if len(columns) != len(set(columns)):
+        raise SchemaError(f"duplicate column in relation {name!r}")
+    if len(columns) != len(tags):
+        raise SchemaError("columns and tags must align")
 
 
 def relation(name, columns, tags, rows) -> Relation:
@@ -120,16 +141,19 @@ def natural_join(r1: Relation, r2: Relation) -> Relation:
         for row in r1.rows:
             for other in r2.rows:
                 out.add(row + tuple(other[i] for i in iextra))
-    return Relation(out_columns, out_tags, frozenset(out))
+    return Relation._derived(out_columns, out_tags, frozenset(out))
 
 
 def project(r: Relation, cols) -> Relation:
     """Restrict to the given columns, eliminating duplicate rows."""
-    cols = list(cols)
+    cols = tuple(cols)
     idx = [r.index(c) for c in cols]
     tags = tuple(r.tags[i] for i in idx)
-    rows = frozenset(tuple(row[i] for i in idx) for row in r.rows)
-    return Relation(tuple(cols), tags, rows, r.name)
+    if len(idx) > 1:
+        rows = frozenset(map(operator.itemgetter(*idx), r.rows))
+    else:
+        rows = frozenset(tuple(row[i] for i in idx) for row in r.rows)
+    return Relation._derived(cols, tags, rows, r.name)
 
 
 def select(r: Relation, conds, mode: str = "conjunction") -> Relation:
@@ -143,18 +167,20 @@ def select(r: Relation, conds, mode: str = "conjunction") -> Relation:
             r.index(var)  # raises UnknownColumnError
     if not conds:
         return r
-    combine = all if mode == "conjunction" else any
-    out = set()
-    for row in r.rows:
-        env = dict(zip(r.columns, row))
-        if combine(eval_condition(c, env) for c in conds):
-            out.add(row)
-    return Relation(r.columns, r.tags, frozenset(out), r.name)
+    preds = [compile_condition(c, r.columns) for c in conds]
+    if len(preds) == 1:
+        rows = frozenset(filter(preds[0], r.rows))
+    else:
+        combine = all if mode == "conjunction" else any
+        rows = frozenset(
+            row for row in r.rows if combine(pred(row) for pred in preds)
+        )
+    return Relation._derived(r.columns, r.tags, rows, r.name)
 
 
 def rename(r: Relation, mapping: dict[str, str]) -> Relation:
     new_columns = tuple(mapping.get(c, c) for c in r.columns)
-    return Relation(new_columns, r.tags, r.rows, r.name)
+    return Relation._derived(new_columns, r.tags, r.rows, r.name)
 
 
 # --- database ---

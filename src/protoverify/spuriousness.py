@@ -12,9 +12,12 @@ with null bindings, and each branch on the path must evaluate to the arm
 the path takes. States are projected onto the variables that a later
 path query or a guard still reads, keeping the smallest full row behind
 each projected state for the witness, and each query finds a state's
-answers through a hash index on the variables they share. A query's
-answer relation depends only on the query and the database, so one
-verification call builds it at most once and shares it across all
+answers through a hash index on the variables they share. Where
+conditions over earlier variables and branch guards are compiled once
+per decision into predicates over the state and answer tuples
+(``protocol.compile_condition``), so no row is turned into a dict. A
+query's answer relation depends only on the query and the database, so
+one verification call builds it at most once and shares it across all
 conflicts whose paths pass through the query.
 
 Step mode seeds concrete answers from a conversation prefix and prunes
@@ -44,6 +47,7 @@ from .protocol import (
     Query,
     branch_path,
     classify_variables,
+    compile_condition,
     eval_condition,
 )
 from .relstore import Database, Relation, class_extent, natural_join, project, rename, select
@@ -139,7 +143,7 @@ def generate_assignable_set(q: Query, prior_tables, db: Database) -> Relation:
                         for i in idxs[1:]
                     )
                 )
-        part = Relation(part.columns, part.tags, filtered_rows, part.name)
+        part = Relation._derived(part.columns, part.tags, filtered_rows, part.name)
         part = project(part, [keep_attr[var] for var in keep_attr])
         part = rename(part, {attr: var for var, attr in keep_attr.items()})
         parts.append(part)
@@ -377,16 +381,17 @@ def _reaching_states(p: ProtocolAst, db: Database, target: int,
                 buckets.setdefault(probe, []).append(arow)
         wide_cols = key_cols + [a_cols[i] for i in fresh]
         keep = [i for i, v in enumerate(wide_cols) if v in live]
+        # Deferred conditions read the state's key and the answer row.
+        where = [compile_condition(c, key_cols + list(a_cols)) for c in deferred]
         next_states: dict[tuple, tuple[tuple, tuple]] = {}
         for key, (sort_key, row) in states.items():
             probe = tuple(key[j] for j in probe_at)
             extensions: set[tuple] = set()
             if None not in probe:
                 for arow in buckets.get(probe, ()):
-                    if deferred:
-                        env = dict(zip(key_cols, key))
-                        env.update(zip(a_cols, arow))
-                        if not all(eval_condition(c, env) for c in deferred):
+                    if where:
+                        joined = key + arow
+                        if not all(pred(joined) for pred in where):
                             continue
                     extensions.add(tuple(arow[i] for i in fresh))
             if not extensions:
@@ -427,13 +432,13 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
                  "branches; reachability reported conservatively",
         )
 
+    guards = [
+        ([compile_condition(c, states.live) for c in conds], arm)
+        for conds, arm in pairs
+    ]
     reaching = []
     for key, row in states.smallest.items():
-        env = dict(zip(states.live, key))
-        checks = [
-            all(eval_condition(c, env) for c in conds) == arm
-            for conds, arm in pairs
-        ]
+        checks = [all(pred(key) for pred in preds) == arm for preds, arm in guards]
         if all(checks) if combination == CONJUNCTION else any(checks):
             reaching.append(row)
     if not reaching:
@@ -519,7 +524,7 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
                 tag = tags.get(var, "str")
                 try:
                     answer[var] = values.value_from_json(raw_val, tag)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise InconsistentTraceError(
                         f"trace entry for query {qid}: value of {var!r} is "
                         f"not a {tag}: {exc}"

@@ -75,17 +75,25 @@ def value_to_json(value):
 
 
 def value_from_json(raw, tag: str):
+    """Decode a JSON value under a declared tag. Only a JSON value of the
+    tag's own kind is accepted: an integer for ``int``, any number for
+    ``decimal``, a string for ``str`` and an ISO date string for ``date``;
+    booleans are never numbers. Anything else is a TypeError, and a
+    malformed date a ValueError."""
     if raw is None:
         return None
-    if tag == "int":
-        return int(raw)
-    if tag == "decimal":
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if tag == "int" and number and isinstance(raw, int):
+        return raw
+    if tag == "decimal" and number:
         return float(raw)
-    if tag == "str":
-        return str(raw)
-    if tag == "date":
-        return parse_date(raw) if isinstance(raw, str) else raw
-    raise ValueError(f"unknown tag {tag!r}")
+    if tag == "str" and isinstance(raw, str):
+        return raw
+    if tag == "date" and isinstance(raw, str):
+        return parse_date(raw)
+    if tag not in TAGS:
+        raise ValueError(f"unknown tag {tag!r}")
+    raise TypeError(f"JSON {type(raw).__name__} value {raw!r}")
 
 
 def format_value(value) -> str:

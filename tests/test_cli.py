@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from protoverify import cli
 from protoverify.cli import main
 from protoverify.protocol import MAX_NESTING
 
@@ -494,3 +495,60 @@ def test_verify_db_int_decimal_rebinding_gets_verdict(capsys, tmp_path):
     (entry,) = json.loads(out)
     assert entry["verdict"] == "realizable"
     assert entry["oracleAgrees"] is True
+
+
+def test_verify_db_oracle_on_long_protocol(capsys, tmp_path):
+    """The oracle walks a 1,200-query protocol without recursing per
+    statement, and stops at the first execution reaching the conflict."""
+    path = tmp_path / "long.pv"
+    path.write_text(
+        "".join(f"get (title: t{i}) from Book;\n" for i in range(1200))
+        + "if (t0 != null) {\n  get (title: u) from Book.Proceedings;\n}\n"
+    )
+    code, out, err = run(
+        capsys, "verify-db", "--server", PUB_SERVER, "--protocol", str(path),
+        "--db", DB_REALIZABLE, "--oracle", "--format", "json",
+    )
+    assert code == 1
+    assert err == ""
+    (entry,) = json.loads(out)
+    assert entry["verdict"] == "realizable" and entry["oracleAgrees"] is True
+
+
+def test_main_reuses_its_parser(capsys):
+    """Calls in one process, with different subcommands and an argument
+    error between them, print what calls made one at a time print."""
+    calls = [
+        ("parse", "--protocol", PROTOCOL1),
+        ("verify-db", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_REALIZABLE, "--format", "json"),
+        ("check", "--server", PUB_SERVER, "--protocol", PROTOCOL1, "--fail-fast"),
+        ("verify-db", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_SPURIOUS, "--paper-disjunction"),
+        ("check", "--server", PUB_CLIENT, "--protocol", PROTOCOL1),
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    assert [code for code, _out in alone] == [0, 1, 1, 0, 0]
+    with pytest.raises(SystemExit):
+        main(["verify-db", "--server", PUB_SERVER])
+    capsys.readouterr()
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    assert together == alone
+
+
+@pytest.mark.parametrize("d1", [True, [1], 19730101])
+def test_step_trace_value_of_wrong_kind_exit_two(capsys, tmp_path, d1):
+    trace = tmp_path / "trace.json"
+    trace.write_text(
+        json.dumps([{"queryId": 1, "answer": {"t1": "ManualName", "a": "Knuth", "d1": d1}}])
+    )
+    code, out, err = run(
+        capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+        "--db", DB_REALIZABLE, "--trace", str(trace),
+    )
+    assert code == 2
+    assert out == ""
+    assert "'d1'" in err and "not a date" in err

@@ -1,17 +1,20 @@
 """Tests for the protocol DSL parser and its static analyses."""
 
 import datetime
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from protoverify.errors import (
+    IncomparableTagsError,
     ProtocolSemanticError,
     ProtocolSyntaxError,
     UnknownQueryError,
     UnknownVariableError,
 )
 from protoverify.protocol import (
+    COMPARISON_OPS,
     MAX_NESTING,
     Branch,
     Condition,
@@ -20,6 +23,7 @@ from protoverify.protocol import (
     Var,
     branch_path,
     classify_variables,
+    compile_condition,
     eval_condition,
     instantiating_query,
     parse_protocol,
@@ -232,6 +236,50 @@ def test_eval_condition_date_field():
 
 def test_eval_condition_int_decimal():
     assert eval_condition(Condition(Var("x"), "<", Lit(2.5)), {"x": 2})
+
+
+# Cell values of every kind, with an int and a float that are equal, so
+# the differential test below meets nulls, equal values of different
+# types, and incomparable pairs.
+CELLS = [None, 0, 2, 7, 2.0, 2.5, -1.5, "", "a", "b", "2",
+         datetime.date(1999, 3, 1), datetime.date(2005, 12, 31)]
+COLUMN_NAMES = ["x", "y", "z", "d"]
+DATE_FIELDS = [None, None, "year", "month", "day"]
+
+
+def random_operand(rng):
+    if rng.random() < 0.5:
+        # "w" never names a column, so the lookup fails as in a dict.
+        return Var(rng.choice(COLUMN_NAMES + ["w"]), rng.choice(DATE_FIELDS))
+    return Lit(rng.choice(CELLS))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the same class and message are expected
+        return (type(exc), str(exc))
+
+
+def test_compiled_condition_matches_eval_condition():
+    """compile_condition agrees with eval_condition on seeded random
+    conditions and rows: every operator with a variable or a literal on
+    either side, null literals, date fields, int/decimal mixes,
+    incomparable pairs, rows with nulls, missing and repeated columns."""
+    rng = random.Random(20101)
+    kinds = set()
+    for _ in range(4000):
+        cond = Condition(
+            random_operand(rng), rng.choice(COMPARISON_OPS), random_operand(rng)
+        )
+        columns = [rng.choice(COLUMN_NAMES) for _ in range(rng.randint(1, 5))]
+        pred = compile_condition(cond, columns)
+        for _ in range(4):
+            row = tuple(rng.choice(CELLS) for _ in columns)
+            expected = outcome(eval_condition, cond, dict(zip(columns, row)))
+            assert outcome(pred, row) == expected, (cond, columns, row)
+            kinds.add(expected if isinstance(expected, bool) else expected[0])
+    assert kinds == {True, False, KeyError, IncomparableTagsError}
 
 
 name_st = st.text(alphabet="abcdexyz", min_size=1, max_size=4)

@@ -159,6 +159,14 @@ def test_relation_invariants():
         Relation(("a",), ("int",), frozenset({(1, 2)}))
 
 
+def test_algebra_results_keep_schema_checks():
+    r = relation("r", ["a", "b"], ["int", "int"], [(1, 2)])
+    with pytest.raises(SchemaError):
+        rename(r, {"a": "b"})
+    with pytest.raises(SchemaError):
+        project(r, ["a", "a"])
+
+
 def test_load_database_tables(pub_db_spurious):
     assert set(pub_db_spurious.tables) == {
         "Book",

@@ -12,10 +12,11 @@ from protoverify.errors import (
     UncoveredBindingError,
     UnresolvableClassError,
 )
+from protoverify.ontology import parse_ontology
 from protoverify.oracle import enumerate_reaching_traces, is_reachable
 from protoverify.protocol import parse_protocol
-from protoverify.relstore import Relation, class_extent, relation, select
-from protoverify import spuriousness
+from protoverify.relstore import Database, Relation, class_extent, relation, select
+from protoverify import protocol, spuriousness
 from protoverify.spuriousness import (
     CONJUNCTION,
     DISJUNCTION,
@@ -450,8 +451,127 @@ def test_parse_trace_malformed_branch(protocol1, pub_db_spurious, branch):
         [{"answer": None}],
         [{"queryId": 1, "answer": 5}],
         [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": "not a date"}}],
+        [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": True}}],
+        [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": [1]}}],
+        [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": 19730101}}],
+        [{"queryId": 1, "answer": {"t1": 5, "a": "A", "d1": "1973-01-01"}}],
+        [{"queryId": 1, "answer": {"t1": "T", "a": False, "d1": "1973-01-01"}}],
     ],
 )
 def test_parse_trace_malformed_entry(protocol1, pub_db_spurious, raw):
     with pytest.raises(InconsistentTraceError):
         parse_trace(raw, protocol1, pub_db_spurious)
+
+
+@pytest.mark.parametrize(
+    "raw, tag, expected",
+    [
+        (5, "int", 5),
+        (5, "decimal", 5.0),
+        (3.5, "decimal", 3.5),
+        ("5", "str", "5"),
+        ("2009-01-31", "date", values.parse_date("2009-01-31")),
+        (None, "int", None),
+        (True, "int", TypeError),
+        (3.5, "int", TypeError),
+        ("5", "int", TypeError),
+        (False, "decimal", TypeError),
+        ("3.5", "decimal", TypeError),
+        (5, "str", TypeError),
+        (True, "date", TypeError),
+        ([1], "date", TypeError),
+        ("31/01/2009", "date", ValueError),
+    ],
+)
+def test_value_from_json_accepts_only_the_tags_kind(raw, tag, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            values.value_from_json(raw, tag)
+    else:
+        decoded = values.value_from_json(raw, tag)
+        assert decoded == expected and type(decoded) is type(expected)
+
+
+def test_parse_trace_decimal_out_of_range():
+    p = parse_protocol("get (price: x) from Base;")
+    db = Database({}, None, {"price": "decimal"})
+    with pytest.raises(InconsistentTraceError, match="'x'"):
+        parse_trace([{"queryId": 1, "answer": {"x": 10**400}}], p, db)
+
+
+def long_shaped_instance(blocks=6):
+    """Key lookups, where-clauses over earlier variables and nested
+    if/else blocks with multi-condition and null guards, over int tables:
+    the shape of the long-protocol benchmark workload, scaled down."""
+    server = parse_ontology({"classes": [
+        {"name": "Entity", "dataProperties": ["id", "val"]},
+        {"name": "Person", "superclasses": ["Entity"], "dataProperties": ["age"]},
+        {"name": "Org", "superclasses": ["Entity"], "dataProperties": ["size"]},
+    ]})
+
+    def table(name, columns, cell):
+        rows = frozenset(tuple(cell(c, i) for c in columns) for i in range(30))
+        return Relation(columns, ("int",) * len(columns), rows, name)
+
+    def cell(column, i):
+        if column == "id":
+            return i
+        if (i + len(column)) % 7 == 0:
+            return None
+        return {"val": i * 7 % 50, "age": i * 3 % 40, "size": i * 11 % 25}[column]
+
+    tables = {
+        "Entity": table("Entity", ("id", "val"), cell),
+        "Person": table("Person", ("age", "id", "val"), cell),
+        "Org": table("Org", ("id", "size", "val"), cell),
+    }
+    db = Database(tables, server, {c: "int" for c in ("id", "val", "age", "size")})
+    lines = []
+    for b in range(blocks):
+        lines += [
+            f"get (id: k{b}, val: v{b}, age: w{b}) from Person where (k{b} = {b * 3 % 30});",
+            f"get (id: j{b}, val: u{b}) from Entity where (j{b} = {b * 5 % 30}) (u{b} >= v{b});",
+            f"if (v{b} > 10) (u{b} != null) {{",
+            f"  get (id: m{b}, size: s{b}) from Org where (m{b} = {b * 4 % 30});",
+            f"  if (s{b} < 20) {{ get (ghost: g{b}) from Missing; }}",
+            f"  else {{ get (id: n{b}, val: x{b}) from Entity.Person where (x{b} = v{b}); }}",
+            "} else {",
+            f"  get (ghost: h{b}) from Missing;",
+            "}",
+        ]
+    return server, parse_protocol("\n".join(lines)), db
+
+
+def test_static_verification_uses_compiled_conditions_only(
+    monkeypatch, protocol1, protocol3, pub_server, pub_db_spurious, pub_db_realizable
+):
+    """With dict-based condition evaluation disabled, static verification
+    still gives the verdicts it gives with it, which the oracle confirms."""
+    server, long_shaped, long_db = long_shaped_instance()
+    cases = [(long_shaped, server, long_db)] + [
+        (p, pub_server, db)
+        for p in (protocol1, protocol3)
+        for db in (pub_db_spurious, pub_db_realizable)
+    ]
+    expected = []
+    for p, srv, db in cases:
+        conflicts = conflicts_for(p, srv)
+        for combination in (CONJUNCTION, DISJUNCTION):
+            expected.append(verify_all(p, srv, db, conflicts, combination))
+        assert [e.verdict == "realizable" for e in expected[-2].entries] == [
+            is_reachable(p, db, e.query_id) for e in expected[-2].entries
+        ]
+    verdicts = {e.verdict for e in expected[0].entries}
+    assert verdicts == {"realizable", "spurious"}
+
+    def refuse(cond, env):
+        raise AssertionError("condition evaluated through a dict")
+
+    monkeypatch.setattr(protocol, "eval_condition", refuse)
+    monkeypatch.setattr(spuriousness, "eval_condition", refuse)
+    got = []
+    for p, srv, db in cases:
+        conflicts = conflicts_for(p, srv)
+        for combination in (CONJUNCTION, DISJUNCTION):
+            got.append(verify_all(p, srv, db, conflicts, combination))
+    assert got == expected
