@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import consistency, oracle, spuriousness
-from .errors import ProtoVerifyError
+from .errors import InconsistentTraceError, ProtoVerifyError
 from .ontology import load_ontology
 from .protocol import parse_protocol, print_protocol
 from .relstore import load_database
@@ -171,7 +171,10 @@ def cmd_step(args) -> int:
         spuriousness.DISJUNCTION if args.paper_disjunction else spuriousness.CONJUNCTION
     )
     with open(args.trace, encoding="utf-8") as fh:
-        raw_trace = json.load(fh)
+        try:
+            raw_trace = json.load(fh)
+        except ValueError as exc:  # also integers past the digit limit
+            raise InconsistentTraceError(f"malformed trace: {exc}") from exc
     trace = spuriousness.parse_trace(raw_trace, ast, db)
     report = spuriousness.step_verify(ast, server, db, mismatches, trace, combination)
     agreement = _oracle_agreement(report, ast, db) if args.oracle else None

@@ -254,6 +254,6 @@ def load_ontology(path) -> OntologyGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past the digit limit
             raise OntologyFormatError(f"malformed ontology document: {exc}") from exc
     return parse_ontology(doc)

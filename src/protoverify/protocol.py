@@ -1,5 +1,5 @@
-"""Grammar, AST, and parser for the query-protocol DSL, plus the static
-variable and path analyses used by both checkers.
+"""Grammar, AST, and parser for the query-protocol DSL, plus the path
+index and static variable analyses used by both checkers.
 
 Surface syntax::
 
@@ -16,6 +16,7 @@ opaque external action. Branching is structured if/else only.
 from __future__ import annotations
 
 import datetime
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -33,8 +34,6 @@ UNINSTANTIATED = "uninstantiated"
 INSTANTIATED = "instantiated"
 
 COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
-
-_NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 KEYWORDS = {"get", "from", "where", "if", "else", "do", "null"}
 
@@ -90,7 +89,16 @@ class Lit:
             return f"'{v}'"
         if isinstance(v, datetime.date):
             return v.isoformat()
-        return repr(v) if isinstance(v, float) else str(v)
+        if isinstance(v, float):
+            text = repr(v)
+            if "e" in text:
+                # The DSL's decimal literals have no exponent form: print
+                # the same digits positionally, with at least one place.
+                mantissa, exponent = text.split("e")
+                places = len(mantissa.partition(".")[2]) - int(exponent)
+                text = format(v, f".{max(places, 1)}f")
+            return text
+        return str(v)
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,6 @@ class Condition:
             if isinstance(side, Var):
                 out.add(side.name)
         return frozenset(out)
-
-    def negated(self) -> "Condition":
-        return Condition(self.lhs, _NEGATED_OP[self.op], self.rhs)
 
     def is_null_literal_test(self) -> bool:
         return (isinstance(self.rhs, Lit) and self.rhs.value is None) or (
@@ -156,21 +161,60 @@ Statement = Query | Branch | Action
 
 @dataclass(frozen=True)
 class ProtocolAst:
+    """A parsed protocol and its path index.
+
+    The index is built once, in one walk, when the AST is: the queries
+    and branches by id, each query's predecessor on its own syntactic
+    path, the (branch, arm) pairs enclosing each query, and the query
+    that first binds each variable. It takes no part in equality.
+    """
+
     statements: tuple[Statement, ...]
-    _queries: dict = field(default_factory=dict, compare=False, repr=False)
+    _queries: dict[int, Query] = field(init=False, compare=False, repr=False)
+    _branches: dict[int, Branch] = field(init=False, compare=False, repr=False)
+    _previous: dict[int, int | None] = field(init=False, compare=False, repr=False)
+    _arms: dict[int, tuple[tuple[Branch, bool], ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _first_binding: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {}
-        for q in _walk_queries(self.statements):
-            index[q.id] = q
-        object.__setattr__(self, "_queries", index)
+        for name in ("_queries", "_branches", "_previous", "_arms", "_first_binding"):
+            object.__setattr__(self, name, {})
+        self._index_block(self.statements, None, ())
+
+    def _index_block(self, stmts, prev, enclosing):
+        """Index a block whose first query follows ``prev`` on its path.
+
+        ``prev`` is the last query statement before this point in this
+        block or an enclosing one. Queries inside an earlier branch are
+        not on the syntactic path, although an execution may have run
+        them. A method rather than a nested function: a closure that
+        calls itself is a reference cycle, which would keep the whole
+        AST alive until the cyclic garbage collector runs.
+        """
+        for st in stmts:
+            if isinstance(st, Query):
+                self._queries[st.id] = st
+                self._previous[st.id] = prev
+                self._arms[st.id] = enclosing
+                for _, var in st.bindings:
+                    if var is not None:
+                        self._first_binding.setdefault(var, st.id)
+                prev = st.id
+            elif isinstance(st, Branch):
+                self._branches[st.id] = st
+                self._index_block(st.then_block, prev, enclosing + ((st, True),))
+                if st.else_block is not None:
+                    self._index_block(st.else_block, prev, enclosing + ((st, False),))
 
     def queries(self) -> list[Query]:
         """All queries in document order."""
         return [self._queries[i] for i in sorted(self._queries)]
 
     def branches(self) -> list[Branch]:
-        return list(_walk_branches(self.statements))
+        """All branches in document order, each before those it encloses."""
+        return list(self._branches.values())
 
     def query(self, query_id: int) -> Query:
         try:
@@ -178,24 +222,28 @@ class ProtocolAst:
         except KeyError:
             raise UnknownQueryError(f"no query with id {query_id}") from None
 
+    def path_queries(self, query_id: int) -> list[Query]:
+        """Queries on the unique syntactic path from the start to the
+        query, in execution order, excluding the query itself."""
+        self.query(query_id)
+        out = []
+        prev = self._previous[query_id]
+        while prev is not None:
+            out.append(self._queries[prev])
+            prev = self._previous[prev]
+        out.reverse()
+        return out
 
-def _walk_queries(stmts):
-    for st in stmts:
-        if isinstance(st, Query):
-            yield st
-        elif isinstance(st, Branch):
-            yield from _walk_queries(st.then_block)
-            if st.else_block is not None:
-                yield from _walk_queries(st.else_block)
+    def arms(self, query_id: int) -> tuple[tuple[Branch, bool], ...]:
+        """(branch, arm) pairs enclosing the query, outermost first; arm
+        True means the then-block."""
+        self.query(query_id)
+        return self._arms[query_id]
 
-
-def _walk_branches(stmts):
-    for st in stmts:
-        if isinstance(st, Branch):
-            yield st
-            yield from _walk_branches(st.then_block)
-            if st.else_block is not None:
-                yield from _walk_branches(st.else_block)
+    def first_binding(self, variable: str) -> int | None:
+        """Id of the first query (in document order) that binds the
+        variable, or None if none does."""
+        return self._first_binding.get(variable)
 
 
 # --- lexer ---
@@ -210,40 +258,30 @@ _TOKEN_RE = re.compile(
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP><=|>=|!=|=|<|>)
   | (?P<PUNCT>[(){}:;,.*])
+  | (?P<ERROR>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _syntax_error(text: str, offset: int, message: str) -> ProtocolSyntaxError:
+    """The error at a character offset, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ProtocolSyntaxError(message, line, column)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, ending with an EOF token."""
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ProtocolSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
-        if kind != "WS":
-            tokens.append(_Token(kind, tok_text, line, pos - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+        if kind == "WS":
+            continue
+        if kind == "ERROR":
+            raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -251,42 +289,39 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.next_query_id = 1
         self.next_branch_id = 1
         self.depth = 0  # blocks enclosing the current statement
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message):
-        tok = self.peek()
-        raise ProtocolSyntaxError(message, tok.line, tok.column)
+    def error(self, message, tok=None):
+        offset = (tok or self.peek())[2]
+        raise _syntax_error(self.text, offset, message)
 
-    def expect(self, kind, text=None) -> _Token:
+    def expect(self, kind, text=None) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise ProtocolSyntaxError(
-                f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}")
         return self.advance()
 
     def at_punct(self, text) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        kind, tok_text, _ = self.peek()
+        return kind == "PUNCT" and tok_text == text
 
     def at_keyword(self, word) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.text == word
+        kind, tok_text, _ = self.peek()
+        return kind == "NAME" and tok_text == word
 
     def parse_protocol(self) -> ProtocolAst:
         stmts = self.parse_statements(until="EOF")
@@ -296,8 +331,7 @@ class _Parser:
     def parse_statements(self, until) -> list[Statement]:
         stmts = []
         while True:
-            tok = self.peek()
-            if until == "EOF" and tok.kind == "EOF":
+            if until == "EOF" and self.peek()[0] == "EOF":
                 break
             if until == "}" and self.at_punct("}"):
                 break
@@ -345,10 +379,11 @@ class _Parser:
         return (attr, var)
 
     def parse_name(self, what) -> str:
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text in KEYWORDS:
+        kind, text, _ = self.peek()
+        if kind != "NAME" or text in KEYWORDS:
             self.error(f"expected {what}")
-        return self.advance().text
+        self.advance()
+        return text
 
     def parse_class_ref(self) -> ClassRef:
         names = [self.parse_name("class name")]
@@ -369,35 +404,27 @@ class _Parser:
     def parse_condition(self) -> Condition:
         self.expect("PUNCT", "(")
         lhs = self.parse_operand()
-        tok = self.peek()
-        if tok.kind != "OP":
+        if self.peek()[0] != "OP":
             self.error("expected comparison operator")
-        op = self.advance().text
+        op = self.advance()[1]
         rhs = self.parse_operand()
         self.expect("PUNCT", ")")
         return Condition(lhs, op, rhs)
 
     def parse_operand(self) -> Var | Lit:
-        tok = self.peek()
-        if tok.kind == "INT":
+        kind, text, _ = self.peek()
+        if kind in ("INT", "DECIMAL", "DATE"):
+            return Lit(self.parse_literal())
+        if kind == "STRING":
             self.advance()
-            return Lit(int(tok.text))
-        if tok.kind == "DECIMAL":
-            self.advance()
-            return Lit(float(tok.text))
-        if tok.kind == "STRING":
-            self.advance()
-            return Lit(tok.text[1:-1])
-        if tok.kind == "DATE":
-            self.advance()
-            return Lit(values.parse_date(tok.text))
-        if tok.kind == "NAME":
-            if tok.text == "null":
+            return Lit(text[1:-1])
+        if kind == "NAME":
+            if text == "null":
                 self.advance()
                 return Lit(None)
-            if tok.text in KEYWORDS:
+            if text in KEYWORDS:
                 self.error("expected operand")
-            name = self.advance().text
+            name = self.advance()[1]
             if self.at_punct("."):
                 self.advance()
                 fld = self.parse_name("date field")
@@ -409,12 +436,32 @@ class _Parser:
             return Var(name)
         self.error("expected operand")
 
+    def parse_literal(self):
+        """The value of a number or date token. A value that does not
+        convert, or that would not print back as the same literal, is a
+        syntax error at the token."""
+        kind, text, _ = self.peek()
+        if kind == "INT":
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's digit limit
+                self.error(f"integer literal out of range ({len(text)} digits)")
+        elif kind == "DECIMAL":
+            value = float(text)
+            if math.isinf(value):
+                self.error("decimal literal out of range")
+        else:
+            try:
+                value = values.parse_date(text)
+            except ValueError as exc:
+                self.error(f"invalid date literal {text!r}: {exc}")
+        self.advance()
+        return value
+
     def parse_branch(self) -> Branch:
         tok = self.expect("NAME", "if")
         if self.depth >= MAX_NESTING:
-            raise ProtocolSyntaxError(
-                f"'if' nested more than {MAX_NESTING} deep", tok.line, tok.column
-            )
+            self.error(f"'if' nested more than {MAX_NESTING} deep", tok)
         conds = tuple(self.parse_condition_list())
         bid = self.next_branch_id
         self.next_branch_id += 1
@@ -493,11 +540,6 @@ def _print_statements(stmts, lines, depth):
 
 def _check_variable_use(p: ProtocolAst):
     """Reject reads of variables that are not definitely bound."""
-    first_binding = {}
-    for q in p.queries():
-        for _, var in q.bindings:
-            if var is not None and var not in first_binding:
-                first_binding[var] = q.id
 
     def check_operands(operands, bound, where):
         for operand in operands:
@@ -541,18 +583,13 @@ def classify_variables(p: ProtocolAst) -> dict[tuple[int, str], str]:
     uninstantiated; every later occurrence, binding or condition, is
     instantiated.
     """
-    first_binding: dict[str, int] = {}
-    for q in p.queries():
-        for _, var in q.bindings:
-            if var is not None and var not in first_binding:
-                first_binding[var] = q.id
     out: dict[tuple[int, str], str] = {}
     for q in p.queries():
         mentioned = set(q.output_variables())
         for cond in q.where:
             mentioned |= cond.variables()
         for var in mentioned:
-            if first_binding.get(var) == q.id:
+            if p.first_binding(var) == q.id:
                 out[(q.id, var)] = UNINSTANTIATED
             else:
                 out[(q.id, var)] = INSTANTIATED
@@ -561,63 +598,16 @@ def classify_variables(p: ProtocolAst) -> dict[tuple[int, str], str]:
 
 def instantiating_query(p: ProtocolAst, variable: str) -> int:
     """Id of the query whose bindings introduce the variable."""
-    for q in p.queries():
-        for _, var in q.bindings:
-            if var == variable:
-                return q.id
-    raise UnknownVariableError(f"variable {variable!r} is never instantiated")
-
-
-def path_conditions(p: ProtocolAst, target: int) -> list[Condition]:
-    """Branch conditions that must hold on the syntactic path from the
-    protocol start to the target query; else-branch conditions come back
-    negated (operator flipped)."""
-
-    def find(stmts, acc):
-        for st in stmts:
-            if isinstance(st, Query):
-                if st.id == target:
-                    return list(acc)
-            elif isinstance(st, Branch):
-                found = find(st.then_block, acc + list(st.conditions))
-                if found is not None:
-                    return found
-                if st.else_block is not None:
-                    negated = [c.negated() for c in st.conditions]
-                    found = find(st.else_block, acc + negated)
-                    if found is not None:
-                        return found
-        return None
-
-    found = find(p.statements, [])
-    if found is None:
-        raise UnknownQueryError(f"no query with id {target}")
-    return found
+    qid = p.first_binding(variable)
+    if qid is None:
+        raise UnknownVariableError(f"variable {variable!r} is never instantiated")
+    return qid
 
 
 def branch_path(p: ProtocolAst, target: int) -> list[tuple[int, bool]]:
     """(branchId, arm) pairs on the unique syntactic path to the target
     query; arm True means the then-block."""
-
-    def find(stmts, acc):
-        for st in stmts:
-            if isinstance(st, Query):
-                if st.id == target:
-                    return list(acc)
-            elif isinstance(st, Branch):
-                found = find(st.then_block, acc + [(st.id, True)])
-                if found is not None:
-                    return found
-                if st.else_block is not None:
-                    found = find(st.else_block, acc + [(st.id, False)])
-                    if found is not None:
-                        return found
-        return None
-
-    found = find(p.statements, [])
-    if found is None:
-        raise UnknownQueryError(f"no query with id {target}")
-    return found
+    return [(branch.id, arm) for branch, arm in p.arms(target)]
 
 
 # --- condition evaluation ---

@@ -77,10 +77,6 @@ class Relation:
     def sorted_rows(self) -> list[tuple]:
         return sorted(self.rows, key=lambda r: tuple(values.sort_key(v) for v in r))
 
-    def row_dicts(self):
-        for row in self.rows:
-            yield dict(zip(self.columns, row))
-
     def is_empty(self) -> bool:
         return not self.rows
 
@@ -215,7 +211,7 @@ def load_database(source_dir, server: OntologyGraph) -> Database:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"missing manifest.json in {source_dir}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the digit limit
         raise SchemaError(f"malformed manifest.json: {exc}") from exc
 
     property_tags: dict[str, str] = {}

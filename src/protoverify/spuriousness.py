@@ -40,12 +40,10 @@ from .errors import (
 from .ontology import OntologyGraph
 from .protocol import (
     INSTANTIATED,
-    Action,
     Branch,
     Condition,
     ProtocolAst,
     Query,
-    branch_path,
     classify_variables,
     compile_condition,
     eval_condition,
@@ -82,10 +80,8 @@ def query_prior_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
 
 
 def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
-    classes = classify_variables(p)
-    return frozenset(
-        v for v in q.output_variables() if classes[(q.id, v)] != INSTANTIATED
-    )
+    """Variables the query binds first."""
+    return frozenset(v for v in q.output_variables() if p.first_binding(v) == q.id)
 
 
 # --- answer relations ---
@@ -231,40 +227,6 @@ class SpuriousnessReport:
         return any(e.verdict == REALIZABLE for e in self.entries)
 
 
-def _path_queries(stmts, target: int):
-    """Queries on the unique syntactic path from the start to the target
-    query, in execution order, excluding the target itself."""
-    out: list[Query] = []
-    for s in stmts:
-        if isinstance(s, Query):
-            if s.id == target:
-                return out, True
-            out.append(s)
-        elif isinstance(s, Branch):
-            sub, found = _path_queries(s.then_block, target)
-            if found:
-                return out + sub, True
-            sub, found = _path_queries(s.else_block or (), target)
-            if found:
-                return out + sub, True
-            # Queries inside a branch the path does not enter never run
-            # before the target.
-    return out, False
-
-
-def _branch_pairs(p: ProtocolAst, target: int,
-                  drop: set[int] | None = None):
-    """(conditions, arm) per branch on the path to the target: the
-    branch's conjunction must evaluate to exactly the arm taken."""
-    by_id = {b.id: b for b in p.branches()}
-    pairs = []
-    for bid, arm in branch_path(p, target):
-        if drop and bid in drop:
-            continue
-        pairs.append((by_id[bid].conditions, arm))
-    return pairs
-
-
 def _check_binding_tags(p: ProtocolAst, db: Database):
     """Reject a variable bound to attributes whose declared tags cannot
     be compared, wherever the bindings occur."""
@@ -354,7 +316,7 @@ def _reaching_states(p: ProtocolAst, db: Database, target: int,
     extensions of a row depend only on its key and the least extended
     row is the least row extended by the least extension.
     """
-    queries, _found = _path_queries(p.statements, target)
+    queries = p.path_queries(target)
     live_after: list[frozenset[str]] = []
     read_later = set(needed)
     for q in reversed(queries):
@@ -415,7 +377,12 @@ def _reaching_states(p: ProtocolAst, db: Database, target: int,
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
                      combination: str,
                      drop_conditions_of: set[int] | None = None) -> ConflictVerdict:
-    pairs = _branch_pairs(p, qid, drop_conditions_of)
+    # (conditions, arm) per branch on the path: the branch's conjunction
+    # must evaluate to exactly the arm taken.
+    pairs = [
+        (branch.conditions, arm) for branch, arm in p.arms(qid)
+        if not drop_conditions_of or branch.id not in drop_conditions_of
+    ]
     if not pairs:
         return ConflictVerdict(qid, REALIZABLE, witness={})
 
@@ -475,12 +442,7 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
     )
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
-        pruned = False
-        for bid, arm in branch_path(p, qid):
-            if bid in decided and decided[bid] != arm:
-                pruned = True
-                break
-        if pruned:
+        if any(decided.get(branch.id, arm) != arm for branch, arm in p.arms(qid)):
             continue
         if qid in reached:
             entries.append(
@@ -577,53 +539,44 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
     decided: dict[int, bool] = {}
     reached: set[int] = set()
     pos = 0
-
-    class _Exhausted(Exception):
-        pass
-
-    def walk(stmts):
-        nonlocal pos
-        for st in stmts:
-            if isinstance(st, Query):
-                if pos >= len(entries):
-                    raise _Exhausted()
-                qid, answer, _ = entries[pos]
-                if qid != st.id:
+    # The statements in execution order, through an explicit stack of
+    # the blocks entered; the walk stops where the trace runs out.
+    blocks = [iter(p.statements)]
+    while blocks:
+        st = next(blocks[-1], None)
+        if st is None:
+            blocks.pop()
+        elif isinstance(st, Query):
+            if pos >= len(entries):
+                break
+            qid, answer, _ = entries[pos]
+            if qid != st.id:
+                raise InconsistentTraceError(
+                    f"trace answers query {qid} but query {st.id} executes next"
+                )
+            pos += 1
+            reached.add(st.id)
+            _apply_answer(p, st, answer, env, db)
+            seeded[st.id] = answer
+        elif isinstance(st, Branch):
+            if not all(v in env for c in st.conditions for v in c.variables()):
+                if pos < len(entries):
                     raise InconsistentTraceError(
-                        f"trace answers query {qid} but query {st.id} executes next"
+                        f"branch {st.id} guard is undecidable but the "
+                        f"trace continues past it"
                     )
-                pos += 1
-                reached.add(st.id)
-                _apply_answer(p, st, answer, env, db)
-                seeded[st.id] = answer
-            elif isinstance(st, Branch):
-                if all(v in env for c in st.conditions for v in c.variables()):
-                    outcome = all(eval_condition(c, env) for c in st.conditions)
-                    if st.id in claimed and claimed[st.id] != outcome:
-                        raise InconsistentTraceError(
-                            f"trace decides branch {st.id} as {claimed[st.id]} "
-                            f"but the seeded values force {outcome}"
-                        )
-                    decided[st.id] = outcome
-                    if outcome:
-                        walk(st.then_block)
-                    elif st.else_block is not None:
-                        walk(st.else_block)
-                else:
-                    if pos < len(entries):
-                        raise InconsistentTraceError(
-                            f"branch {st.id} guard is undecidable but the "
-                            f"trace continues past it"
-                        )
-                    raise _Exhausted()
-            elif isinstance(st, Action):
-                continue
-        return
-
-    try:
-        walk(p.statements)
-    except _Exhausted:
-        pass
+                break
+            outcome = all(eval_condition(c, env) for c in st.conditions)
+            if st.id in claimed and claimed[st.id] != outcome:
+                raise InconsistentTraceError(
+                    f"trace decides branch {st.id} as {claimed[st.id]} "
+                    f"but the seeded values force {outcome}"
+                )
+            decided[st.id] = outcome
+            if outcome:
+                blocks.append(iter(st.then_block))
+            elif st.else_block is not None:
+                blocks.append(iter(st.else_block))
     if pos < len(entries):
         raise InconsistentTraceError(
             f"trace entry for query {entries[pos][0]} never executes"

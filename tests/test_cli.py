@@ -552,3 +552,67 @@ def test_step_trace_value_of_wrong_kind_exit_two(capsys, tmp_path, d1):
     assert code == 2
     assert out == ""
     assert "'d1'" in err and "not a date" in err
+
+
+# A JSON integer past the interpreter's int-string digit limit, which
+# ``json.load`` rejects with a plain ValueError.
+HUGE_INT = "9" * 5000
+
+
+def assert_input_error(result, *words):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+def test_check_oversized_integer_in_ontology_exit_two(capsys, tmp_path):
+    server = tmp_path / "server.json"
+    server.write_text('{"classes": [], "version": ' + HUGE_INT + "}")
+    assert_input_error(
+        run(capsys, "check", "--server", str(server), "--protocol", PROTOCOL1),
+        "malformed ontology document",
+    )
+
+
+def test_verify_db_oversized_integer_in_manifest_exit_two(capsys, tmp_path):
+    server, db = base_db(tmp_path)
+    (tmp_path / "db" / "manifest.json").write_text(
+        '{"Base": {"a1": "int"}, "rows": ' + HUGE_INT + "}"
+    )
+    protocol = tmp_path / "p.pv"
+    protocol.write_text("get (a1: x) from Base;")
+    assert_input_error(
+        run(capsys, "verify-db", "--server", server, "--protocol", str(protocol),
+            "--db", db),
+        "malformed manifest.json",
+    )
+
+
+def test_step_oversized_integer_in_trace_exit_two(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text('[{"queryId": 1, "answer": {"t1": ' + HUGE_INT + "}}]")
+    assert_input_error(
+        run(capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+            "--db", DB_REALIZABLE, "--trace", str(trace)),
+        "malformed trace",
+    )
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        (HUGE_INT, "integer literal out of range"),
+        ("2009-13-45", "invalid date literal"),
+        ("9" * 400 + ".5", "decimal literal out of range"),
+    ],
+    ids=["long-integer", "bad-date", "decimal-overflow"],
+)
+def test_parse_unconvertible_literal_exit_two(capsys, tmp_path, literal, message):
+    path = tmp_path / "p.pv"
+    path.write_text(f"get (a: x) from K\n  where (x = {literal});\n")
+    assert_input_error(
+        run(capsys, "parse", "--protocol", str(path)), message, "line 2, column 14"
+    )

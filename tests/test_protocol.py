@@ -1,6 +1,7 @@
 """Tests for the protocol DSL parser and its static analyses."""
 
 import datetime
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from protoverify.protocol import (
     Branch,
     Condition,
     Lit,
+    ProtocolAst,
     Query,
     Var,
     branch_path,
@@ -27,7 +29,6 @@ from protoverify.protocol import (
     eval_condition,
     instantiating_query,
     parse_protocol,
-    path_conditions,
     print_protocol,
 )
 
@@ -105,6 +106,75 @@ def test_nesting_bound():
     assert exc.value.line == MAX_NESTING + 2
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("get (title: t) from Book;\n\n   \t @",
+         "unexpected character '@'", 3, 6),
+        ("get (a: x) from K;\r\nif (x = 1) {\r\n  @",
+         "unexpected character '@'", 3, 3),
+        ("get (title: t) from Book;\n  get (a: x) from K where (x = 'abc);\n",
+         "unexpected character \"'\"", 2, 32),
+        ("get (title: t) from Book",
+         "expected ';', found 'end of input'", 1, 25),
+        ("get (title: t)\n  from Book\n",
+         "expected ';', found 'end of input'", 3, 1),
+        ("get (title: t) from Book;\nget (from: x) from K;",
+         "expected attribute name", 2, 6),
+        ("get (title: t) from Book;\nif (t = where) { do P(); }",
+         "expected operand", 2, 9),
+        ("get (t: x) from Book.Book;",
+         "repeated consecutive class name 'Book' in sequence", 1, 26),
+        ("\n\nget (a: x) from K where (x.week = 1);",
+         "unknown date field 'week' (expected year, month, or day)", 3, 33),
+        (nested_ifs(MAX_NESTING + 1),
+         f"'if' nested more than {MAX_NESTING} deep", MAX_NESTING + 2, 1),
+        ("get (a: x) from K where (x = " + "9" * 5000 + ");",
+         "integer literal out of range (5000 digits)", 1, 30),
+        ("get (a: x) from K\n  where (x = 2009-13-45);",
+         "invalid date literal '2009-13-45': month must be in 1..12", 2, 14),
+        ("get (a: x) from K where (x = 2009-02-29);",
+         "invalid date literal '2009-02-29': day is out of range for month",
+         1, 30),
+        ("get (a: x) from K where\n (x = " + "9" * 400 + ".5);",
+         "decimal literal out of range", 2, 7),
+    ],
+    ids=[
+        "unexpected-after-blank-lines",
+        "unexpected-after-crlf",
+        "unterminated-string",
+        "end-of-input",
+        "end-of-input-after-newline",
+        "keyword-as-name",
+        "keyword-as-operand",
+        "repeated-class",
+        "unknown-date-field",
+        "nesting-bound",
+        "long-integer",
+        "date-month",
+        "date-day",
+        "decimal-overflow",
+    ],
+)
+def test_syntax_error_positions(text, message, line, column):
+    with pytest.raises(ProtocolSyntaxError) as exc:
+        parse_protocol(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"{message} (line {line}, column {column})", line, column
+    )
+
+
+@pytest.mark.parametrize(
+    "literal", ["0.00001", "0.000000123456789", "10000000000000000.0",
+                "123456789012345678901234.5"]
+)
+def test_decimal_literal_reprints_as_decimal(literal):
+    p = parse_protocol(f"get (a: x) from K where (x = {literal});")
+    printed = print_protocol(p)
+    assert parse_protocol(printed) == p
+    assert "e" not in printed.split("where")[1]
+
+
 def test_consecutive_repeat_in_sequence_rejected():
     with pytest.raises(ProtocolSyntaxError):
         parse_protocol("get (title: t) from Book.Book;")
@@ -167,16 +237,23 @@ def test_exactly_one_uninstantiated_site(protocol1, protocol2, protocol3):
         assert len(fresh) == len(set(fresh))
 
 
+def path_guards(p, qid):
+    """The guards on a query's path, as text, each with the arm the path
+    takes: the index keeps an else arm as its branch and False rather
+    than as negated conditions."""
+    return [(conds_as_text(branch.conditions), arm) for branch, arm in p.arms(qid)]
+
+
 def test_path_conditions_protocol1(protocol1):
-    assert conds_as_text(path_conditions(protocol1, 3)) == ["(t2 != null)"]
+    assert path_guards(protocol1, 3) == [(["(t2 != null)"], True)]
 
 
 def test_path_conditions_no_branch(protocol2):
-    assert path_conditions(protocol2, 2) == []
+    assert path_guards(protocol2, 2) == []
 
 
 def test_path_conditions_else_negated(protocol3):
-    assert conds_as_text(path_conditions(protocol3, 3)) == ["(av1 != 'yes')"]
+    assert path_guards(protocol3, 3) == [(["(av1 = 'yes')"], False)]
 
 
 def test_path_conditions_only_earlier_variables(protocol1, protocol3):
@@ -188,13 +265,16 @@ def test_path_conditions_only_earlier_variables(protocol1, protocol3):
                 if prior.id < q.id
                 for v in prior.output_variables()
             }
-            for cond in path_conditions(p, q.id):
-                assert cond.variables() <= earlier
+            for branch, _arm in p.arms(q.id):
+                for cond in branch.conditions:
+                    assert cond.variables() <= earlier
 
 
 def test_path_conditions_unknown_query(protocol1):
     with pytest.raises(UnknownQueryError):
-        path_conditions(protocol1, 99)
+        protocol1.arms(99)
+    with pytest.raises(UnknownQueryError):
+        protocol1.path_queries(99)
 
 
 def test_branch_path(protocol3):
@@ -211,12 +291,6 @@ def test_instantiating_query(protocol1, protocol2):
 def test_instantiating_query_unknown(protocol1):
     with pytest.raises(UnknownVariableError):
         instantiating_query(protocol1, "zz")
-
-
-def test_negation_involution():
-    for op in ("=", "!=", "<", ">", "<=", ">="):
-        cond = Condition(Var("x"), op, Lit(1))
-        assert cond.negated().negated() == cond
 
 
 def test_eval_condition_null_rules():
@@ -291,16 +365,21 @@ lit_st = st.one_of(
 
 
 @st.composite
-def protocol_st(draw):
-    """A random straight-line protocol with optional branch, by construction
-    free of read-before-instantiation errors."""
+def protocol_st(draw, nested=False):
+    """A random straight-line protocol, by construction free of
+    read-before-instantiation errors. With ``nested``, queries may rebind
+    earlier variables and are arranged in nested if/else blocks, and
+    reads are no longer checked against the arms."""
     stmts = []
     bound = []
-    for qid in range(1, draw(st.integers(1, 4)) + 1):
+    for qid in range(1, draw(st.integers(1, 8 if nested else 4)) + 1):
         n = draw(st.integers(1, 3))
         bindings = []
         for j in range(n):
-            var = draw(name_st) + str(qid) + str(j)
+            if nested and bound and draw(st.booleans()):
+                var = draw(st.sampled_from(bound))
+            else:
+                var = draw(name_st) + str(qid) + str(j)
             bindings.append(("attr" + str(j), var))
         where = []
         if bound and draw(st.booleans()):
@@ -309,7 +388,69 @@ def protocol_st(draw):
             Query(qid, tuple(bindings), (draw(st.sampled_from(["Book", "Car", "K"])),), tuple(where))
         )
         bound.extend(v for _, v in bindings)
+    if nested:
+        stmts = nest_in_branches(draw, stmts, 0, itertools.count(1))
     return stmts, bound
+
+
+def nest_in_branches(draw, queries, depth, branch_ids):
+    """The queries, in order, as a block in which runs of them sit inside
+    if/else branches up to three deep, numbered in document order."""
+    block = []
+    i = 0
+    while i < len(queries):
+        if depth == 3 or not draw(st.booleans()):
+            block.append(queries[i])
+            i += 1
+            continue
+        bid = next(branch_ids)
+        n = draw(st.integers(1, len(queries) - i))
+        split = i + draw(st.integers(0, n))
+        then_block = nest_in_branches(draw, queries[i:split], depth + 1, branch_ids)
+        else_block = None
+        if split < i + n or draw(st.booleans()):
+            else_block = tuple(
+                nest_in_branches(draw, queries[split:i + n], depth + 1, branch_ids)
+            )
+        guard = (Condition(Var("g"), "=", Lit(depth)),)
+        block.append(Branch(bid, guard, tuple(then_block), else_block))
+        i += n
+    return block
+
+
+def reference_index(stmts):
+    """Each query's path queries and (branch, arm) pairs, and each
+    variable's first binding, by a plain recursive walk."""
+    paths, arms, first = {}, {}, {}
+
+    def walk(block, before, enclosing):
+        before = list(before)
+        for s in block:
+            if isinstance(s, Query):
+                paths[s.id] = list(before)
+                arms[s.id] = enclosing
+                for _, var in s.bindings:
+                    first.setdefault(var, s.id)
+                before.append(s)
+            else:
+                walk(s.then_block, before, enclosing + ((s, True),))
+                if s.else_block is not None:
+                    walk(s.else_block, before, enclosing + ((s, False),))
+
+    walk(stmts, [], ())
+    return paths, arms, first
+
+
+@given(protocol_st(nested=True))
+def test_path_index_matches_reference_walk(drawn):
+    stmts, bound = drawn
+    p = ProtocolAst(tuple(stmts))
+    paths, arms, first = reference_index(p.statements)
+    assert {q.id: p.path_queries(q.id) for q in p.queries()} == paths
+    assert {q.id: p.arms(q.id) for q in p.queries()} == arms
+    assert {v: p.first_binding(v) for v in bound} == first
+    assert p.first_binding("unbound") is None
+    assert [b.id for b in p.branches()] == list(range(1, len(p.branches()) + 1))
 
 
 @given(protocol_st())

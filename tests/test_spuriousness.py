@@ -1,6 +1,8 @@
 """Tests for the database-level spuriousness engine."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,7 +16,7 @@ from protoverify.errors import (
 )
 from protoverify.ontology import parse_ontology
 from protoverify.oracle import enumerate_reaching_traces, is_reachable
-from protoverify.protocol import parse_protocol
+from protoverify.protocol import parse_protocol, print_protocol
 from protoverify.relstore import Database, Relation, class_extent, relation, select
 from protoverify import protocol, spuriousness
 from protoverify.spuriousness import (
@@ -369,6 +371,30 @@ def test_step_seeded_answer(protocol1, pub_server, pub_db_realizable):
     trace = parse_trace(raw, protocol1, pub_db_realizable)
     report = step_verify(protocol1, pub_server, pub_db_realizable, ms, trace)
     assert report.verdict_for(3) == "realizable"
+
+
+def test_verification_builds_no_cycle_holding_the_ast(
+    protocol1, pub_server, pub_db_realizable
+):
+    """Parsing, static and step verification leave no reference cycle
+    that holds the AST, so dropping it frees it at once rather than at
+    the next cyclic collection, and a call adds no AST to the collector's
+    work."""
+    text = print_protocol(protocol1)
+    raw = [{"queryId": 1, "answer": q1_answer()}]
+    gc.collect()
+    gc.disable()
+    try:
+        ast = parse_protocol(text)
+        refs = [weakref.ref(ast), weakref.ref(ast.query(3))]
+        ms = conflicts_for(ast, pub_server)
+        verify_all(ast, pub_server, pub_db_realizable, ms)
+        trace = parse_trace(raw, ast, pub_db_realizable)
+        step_verify(ast, pub_server, pub_db_realizable, ms, trace)
+        del ast, ms, trace
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_step_no_answer_prunes(protocol1, pub_server, pub_db_spurious):
