@@ -17,10 +17,10 @@ import functools
 import json
 import sys
 
-from . import consistency, oracle, spuriousness
-from .errors import InconsistentTraceError, ProtoVerifyError
+from . import consistency, oracle, spuriousness, values
+from .errors import InconsistentTraceError, ProtocolError, ProtoVerifyError
 from .ontology import load_ontology
-from .protocol import parse_protocol, print_protocol
+from .protocol import Branch, Query, Var, parse_protocol, print_protocol
 from .relstore import load_database
 
 EXIT_CLEAN = 0
@@ -29,10 +29,20 @@ EXIT_ERROR = 2
 
 
 def _read_protocol(path: str) -> str:
+    """The protocol file, or standard input for ``-``, as UTF-8 text with
+    newlines translated as text mode translates them."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(
+            f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _add_common(sub, db=False, trace=False):
@@ -192,43 +202,41 @@ def cmd_parse(args) -> int:
 
 
 def _ast_to_json(ast):
-    from . import protocol as proto
-    from . import values as vals
+    return [_statement_json(s) for s in ast.statements]
 
-    def operand(o):
-        if isinstance(o, proto.Var):
-            return {"var": o.name, **({"field": o.date_field} if o.date_field else {})}
-        return {"lit": vals.value_to_json(o.value)}
 
-    def cond(c):
-        return {"lhs": operand(c.lhs), "op": c.op, "rhs": operand(c.rhs)}
+def _operand_json(o):
+    if isinstance(o, Var):
+        return {"var": o.name, **({"field": o.date_field} if o.date_field else {})}
+    return {"lit": values.value_to_json(o.value)}
 
-    def stmt(st):
-        if isinstance(st, proto.Query):
-            return {
-                "query": {
-                    "id": st.id,
-                    "bindings": [
-                        {"attribute": a, "variable": v} for a, v in st.bindings
-                    ],
-                    "from": [list(cr.names) for cr in st.class_refs],
-                    "where": [cond(c) for c in st.where],
-                }
+
+def _condition_json(c):
+    return {"lhs": _operand_json(c.lhs), "op": c.op, "rhs": _operand_json(c.rhs)}
+
+
+def _statement_json(st):
+    if isinstance(st, Query):
+        return {
+            "query": {
+                "id": st.id,
+                "bindings": [{"attribute": a, "variable": v} for a, v in st.bindings],
+                "from": [list(cr.names) for cr in st.class_refs],
+                "where": [_condition_json(c) for c in st.where],
             }
-        if isinstance(st, proto.Branch):
-            out = {
-                "if": {
-                    "id": st.id,
-                    "conditions": [cond(c) for c in st.conditions],
-                    "then": [stmt(s) for s in st.then_block],
-                }
+        }
+    if isinstance(st, Branch):
+        out = {
+            "if": {
+                "id": st.id,
+                "conditions": [_condition_json(c) for c in st.conditions],
+                "then": [_statement_json(s) for s in st.then_block],
             }
-            if st.else_block is not None:
-                out["if"]["else"] = [stmt(s) for s in st.else_block]
-            return out
-        return {"action": {"name": st.name, "args": [operand(a) for a in st.args]}}
-
-    return [stmt(s) for s in ast.statements]
+        }
+        if st.else_block is not None:
+            out["if"]["else"] = [_statement_json(s) for s in st.else_block]
+        return out
+    return {"action": {"name": st.name, "args": [_operand_json(a) for a in st.args]}}
 
 
 def main(argv=None) -> int:

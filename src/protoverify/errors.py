@@ -50,10 +50,6 @@ class UnknownQueryError(ProtocolError):
     pass
 
 
-class UnknownVariableError(ProtocolError):
-    pass
-
-
 # --- relational store ---
 
 class RelStoreError(ProtoVerifyError):

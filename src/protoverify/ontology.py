@@ -92,30 +92,28 @@ class OntologyGraph:
                 )
 
     def _find_cycle(self):
+        """The first cycle a depth-first walk meets, ending where it starts,
+        or None. A stack of child iterators stands in for recursion, so no
+        depth of hierarchy reaches the recursion limit."""
         WHITE, GREY, BLACK = 0, 1, 2
         color = {n: WHITE for n in self.classes}
-        stack_path: list[str] = []
-
-        def visit(n):
-            color[n] = GREY
-            stack_path.append(n)
-            for child in self._children[n]:
-                if color[child] == GREY:
-                    i = stack_path.index(child)
-                    return stack_path[i:] + [child]
-                if color[child] == WHITE:
-                    found = visit(child)
-                    if found:
-                        return found
-            stack_path.pop()
-            color[n] = BLACK
-            return None
-
-        for n in self.classes:
-            if color[n] == WHITE:
-                found = visit(n)
-                if found:
-                    return found
+        for root in self.classes:
+            if color[root] != WHITE:
+                continue
+            color[root] = GREY
+            path = [root]
+            children = [iter(self._children[root])]
+            while children:
+                child = next(children[-1], None)
+                if child is None:
+                    children.pop()
+                    color[path.pop()] = BLACK
+                elif color[child] == GREY:
+                    return path[path.index(child):] + [child]
+                elif color[child] == WHITE:
+                    color[child] = GREY
+                    path.append(child)
+                    children.append(iter(self._children[child]))
         return None
 
     # --- lookups ---

@@ -2,9 +2,9 @@
 
 Exhaustively enumerates protocol executions against the database with
 its own nested-loop conjunctive evaluation. Deliberately independent of
-the dependency analysis, the relational algebra driver, and the
-memoization cache; this is the ground truth the spuriousness engine is
-tested against.
+the path index, the relational algebra and the engine's execution
+states; this is the ground truth the spuriousness engine is tested
+against.
 
 A query whose answer set is empty (or that the server cannot interpret
 at all) binds its fresh variables to null and execution continues.

@@ -1,5 +1,6 @@
 """Grammar, AST, and parser for the query-protocol DSL, plus the path
-index and static variable analyses used by both checkers.
+index used by both checkers and the parse-time check that every variable
+is bound before it is read.
 
 Surface syntax::
 
@@ -27,19 +28,15 @@ from .errors import (
     ProtocolSemanticError,
     ProtocolSyntaxError,
     UnknownQueryError,
-    UnknownVariableError,
 )
-
-UNINSTANTIATED = "uninstantiated"
-INSTANTIATED = "instantiated"
 
 COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
 
 KEYWORDS = {"get", "from", "where", "if", "else", "do", "null"}
 
-# Deepest ``if`` nesting the parser accepts. The parser and the analyses
-# recurse once per level, so this keeps them well inside Python's
-# recursion limit.
+# Deepest ``if`` nesting the parser accepts. The parser, the printer and
+# the variable-use check recurse once per level, so this keeps them well
+# inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -137,9 +134,6 @@ class Query:
             if var is not None and var not in seen:
                 seen.append(var)
         return tuple(seen)
-
-    def bound_attributes(self) -> tuple[str, ...]:
-        return tuple(attr for attr, _ in self.bindings)
 
 
 @dataclass(frozen=True)
@@ -498,7 +492,7 @@ class _Parser:
 def parse_protocol(text: str) -> ProtocolAst:
     """Parse DSL source into an AST and run the static variable checks."""
     ast = _Parser(text).parse_protocol()
-    _check_variable_use(ast)
+    _check_block(ast.statements, frozenset())
     return ast
 
 
@@ -536,78 +530,37 @@ def _print_statements(stmts, lines, depth):
             lines.append(f"{pad}do {st.name}({args});")
 
 
-# --- static analyses ---
+# --- variable-use check ---
 
-def _check_variable_use(p: ProtocolAst):
-    """Reject reads of variables that are not definitely bound."""
-
-    def check_operands(operands, bound, where):
-        for operand in operands:
-            if isinstance(operand, Var) and operand.name not in bound:
-                raise ProtocolSemanticError(
-                    f"variable {operand.name!r} read before instantiation ({where})"
+def _check_block(stmts, bound: frozenset[str]) -> frozenset[str]:
+    """Reject reads of variables that are not definitely bound in a block
+    entered with ``bound``; return the variables definitely bound after
+    it. Recursion depth is bounded by MAX_NESTING."""
+    for st in stmts:
+        if isinstance(st, Query):
+            bound = bound | set(st.output_variables())
+            for cond in st.where:
+                _check_operands(
+                    (cond.lhs, cond.rhs), bound, f"where clause of query {st.id}"
                 )
-
-    def walk(stmts, bound: frozenset[str]) -> frozenset[str]:
-        for st in stmts:
-            if isinstance(st, Query):
-                own = set(q_var for q_var in st.output_variables())
-                for cond in st.where:
-                    check_operands(
-                        (cond.lhs, cond.rhs),
-                        bound | own,
-                        f"where clause of query {st.id}",
-                    )
-                bound = bound | own
-            elif isinstance(st, Branch):
-                for cond in st.conditions:
-                    check_operands(
-                        (cond.lhs, cond.rhs), bound, f"branch {st.id} condition"
-                    )
-                then_out = walk(st.then_block, bound)
-                if st.else_block is not None:
-                    else_out = walk(st.else_block, bound)
-                    bound = then_out & else_out
-                # if without else: only previously bound vars are definite
-            else:
-                check_operands(st.args, bound, f"action {st.name!r}")
-        return bound
-
-    walk(p.statements, frozenset())
+        elif isinstance(st, Branch):
+            for cond in st.conditions:
+                _check_operands((cond.lhs, cond.rhs), bound, f"branch {st.id} condition")
+            then_out = _check_block(st.then_block, bound)
+            if st.else_block is not None:
+                bound = then_out & _check_block(st.else_block, bound)
+            # if without else: only previously bound vars are definite
+        else:
+            _check_operands(st.args, bound, f"action {st.name!r}")
+    return bound
 
 
-def classify_variables(p: ProtocolAst) -> dict[tuple[int, str], str]:
-    """Per (queryId, variable) occurrence classification.
-
-    The first binding occurrence of a variable (document order) is
-    uninstantiated; every later occurrence, binding or condition, is
-    instantiated.
-    """
-    out: dict[tuple[int, str], str] = {}
-    for q in p.queries():
-        mentioned = set(q.output_variables())
-        for cond in q.where:
-            mentioned |= cond.variables()
-        for var in mentioned:
-            if p.first_binding(var) == q.id:
-                out[(q.id, var)] = UNINSTANTIATED
-            else:
-                out[(q.id, var)] = INSTANTIATED
-    return out
-
-
-def instantiating_query(p: ProtocolAst, variable: str) -> int:
-    """Id of the query whose bindings introduce the variable."""
-    qid = p.first_binding(variable)
-    if qid is None:
-        raise UnknownVariableError(f"variable {variable!r} is never instantiated")
-    return qid
-
-
-def branch_path(p: ProtocolAst, target: int) -> list[tuple[int, bool]]:
-    """(branchId, arm) pairs on the unique syntactic path to the target
-    query; arm True means the then-block."""
-    return [(branch.id, arm) for branch, arm in p.arms(target)]
+def _check_operands(operands, bound, where):
+    for operand in operands:
+        if isinstance(operand, Var) and operand.name not in bound:
+            raise ProtocolSemanticError(
+                f"variable {operand.name!r} read before instantiation ({where})"
+            )
 
 
 # --- condition evaluation ---

@@ -13,6 +13,7 @@ directly, as loaders and callers do, gets every check.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
 import os
@@ -152,11 +153,9 @@ def project(r: Relation, cols) -> Relation:
     return Relation._derived(cols, tags, rows, r.name)
 
 
-def select(r: Relation, conds, mode: str = "conjunction") -> Relation:
-    """Keep rows satisfying the conditions combined under the given mode.
-
-    An empty condition list is the identity in either mode.
-    """
+def select(r: Relation, conds) -> Relation:
+    """Keep rows satisfying every condition; an empty condition list is
+    the identity."""
     conds = list(conds)
     for cond in conds:
         for var in cond.variables():
@@ -167,10 +166,7 @@ def select(r: Relation, conds, mode: str = "conjunction") -> Relation:
     if len(preds) == 1:
         rows = frozenset(filter(preds[0], r.rows))
     else:
-        combine = all if mode == "conjunction" else any
-        rows = frozenset(
-            row for row in r.rows if combine(pred(row) for pred in preds)
-        )
+        rows = frozenset(row for row in r.rows if all(pred(row) for pred in preds))
     return Relation._derived(r.columns, r.tags, rows, r.name)
 
 
@@ -261,7 +257,16 @@ def load_database(source_dir, server: OntologyGraph) -> Database:
 
 
 def _load_table(path, cls_name, expected_cols, property_tags) -> Relation:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        ) from None
+    # Lines are split and kept as a file opened with newline="" gives them.
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -39,12 +39,10 @@ from .errors import (
 )
 from .ontology import OntologyGraph
 from .protocol import (
-    INSTANTIATED,
     Branch,
     Condition,
     ProtocolAst,
     Query,
-    classify_variables,
     compile_condition,
     eval_condition,
 )
@@ -62,23 +60,6 @@ NO_ANSWER = object()
 
 # --- variable classification ---
 
-def query_prior_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
-    """Variables of a query that were instantiated by earlier queries:
-    re-used binding variables plus where-clause variables bound elsewhere."""
-    classes = classify_variables(p)
-    prior = set()
-    for var in q.output_variables():
-        if classes[(q.id, var)] == INSTANTIATED:
-            prior.add(var)
-    fresh = {v for v in q.output_variables() if (q.id, v) not in classes
-             or classes[(q.id, v)] != INSTANTIATED}
-    for cond in q.where:
-        for var in cond.variables():
-            if var not in fresh and classes.get((q.id, var)) == INSTANTIATED:
-                prior.add(var)
-    return frozenset(prior)
-
-
 def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
     """Variables the query binds first."""
     return frozenset(v for v in q.output_variables() if p.first_binding(v) == q.id)
@@ -86,17 +67,14 @@ def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
 
 # --- answer relations ---
 
-def generate_assignable_set(q: Query, prior_tables, db: Database) -> Relation:
-    """The relation of tuples the evaluator could answer for a query,
-    given the assignable relations of its previously instantiated
-    variables.
+def generate_assignable_set(q: Query, db: Database) -> Relation:
+    """The relation of tuples the evaluator could answer for a query.
 
     Each class reference contributes its extent with bound attribute
     columns renamed to the query's variables; everything is joined,
-    filtered by the evaluable where conditions, and projected onto the
-    query's variables plus the prior tables' columns.
+    filtered by the where conditions over the query's own variables, and
+    projected onto those variables.
     """
-    prior_tables = list(prior_tables)
     out_vars = list(q.output_variables())
     non_wildcard = [(attr, var) for attr, var in q.bindings if var is not None]
 
@@ -154,18 +132,8 @@ def generate_assignable_set(q: Query, prior_tables, db: Database) -> Relation:
     t = parts[0] if parts else Relation((), (), frozenset([()]))
     for part in parts[1:]:
         t = natural_join(t, part)
-    for prior in prior_tables:
-        t = natural_join(t, prior)
-
     applicable = [c for c in q.where if c.variables() <= set(t.columns)]
-    t = select(t, applicable, CONJUNCTION)
-
-    keep = list(out_vars)
-    for prior in prior_tables:
-        for c in prior.columns:
-            if c not in keep:
-                keep.append(c)
-    return project(t, [c for c in keep if c in t.columns])
+    return project(select(t, applicable), out_vars)
 
 
 # --- verification context and driver ---
@@ -180,7 +148,6 @@ class VerifyContext:
     several databases.
     """
 
-    mode: str = "static"
     seeded_answers: dict[int, object] = field(default_factory=dict)
     answers: dict[int, tuple[Relation, list[Condition]]] = field(default_factory=dict)
 
@@ -268,7 +235,7 @@ def _answers(q: Query, ctx: VerifyContext, db: Database):
         return _declared_relation(q, db, rows), []
     if q.id not in ctx.answers:
         try:
-            rel = generate_assignable_set(q, [], db)
+            rel = generate_assignable_set(q, db)
         except (UnresolvableClassError, UncoveredBindingError):
             # The server cannot answer the query; in execution its
             # variables come back null.
@@ -418,7 +385,7 @@ def verify_all(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                combination: str = CONJUNCTION) -> SpuriousnessReport:
     """One verdict per distinct conflicting query, in query order."""
     _check_binding_tags(p, db)
-    ctx = VerifyContext(mode="static")
+    ctx = VerifyContext()
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
         entries.append(_decide_conflict(qid, ctx, p, db, combination))
@@ -437,9 +404,7 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
     """
     _check_binding_tags(p, db)
     seeded, decided, reached = _replay_trace(p, db, trace)
-    ctx = VerifyContext(
-        mode="step" if trace else "static", seeded_answers=seeded
-    )
+    ctx = VerifyContext(seeded_answers=seeded)
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
         if any(decided.get(branch.id, arm) != arm for branch, arm in p.arms(qid)):
@@ -458,7 +423,7 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                 drop_conditions_of=set(decided),
             )
         )
-    return SpuriousnessReport(tuple(entries), mode=ctx.mode)
+    return SpuriousnessReport(tuple(entries), mode="step" if trace else "static")
 
 
 def parse_trace(raw, p: ProtocolAst, db: Database):

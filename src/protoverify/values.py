@@ -96,15 +96,6 @@ def value_from_json(raw, tag: str):
     raise TypeError(f"JSON {type(raw).__name__} value {raw!r}")
 
 
-def format_value(value) -> str:
-    """Cell text for CSV output; null becomes the empty string."""
-    if value is None:
-        return ""
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    return str(value)
-
-
 def sort_key(value):
     """Total order over mixed values for deterministic output."""
     if value is None:

@@ -12,13 +12,7 @@ import conftest
 
 from protoverify.consistency import check_consistency
 from protoverify.oracle import _answers, is_reachable
-from protoverify.protocol import (
-    Query,
-    branch_path,
-    classify_variables,
-    eval_condition,
-    instantiating_query,
-)
+from protoverify.protocol import Query, eval_condition
 from protoverify.relstore import (
     Relation,
     canonical_rows,
@@ -31,7 +25,6 @@ from protoverify.relstore import (
 from protoverify.protocol import Condition, Lit, Var
 from protoverify.spuriousness import (
     NO_ANSWER,
-    query_prior_variables,
     step_verify,
     verify_all,
 )
@@ -244,10 +237,7 @@ def _away_trace(inst):
     from the conflict, or None when every execution decides toward it."""
     p, db = inst.ast, inst.db
     top = [s for s in p.statements if isinstance(s, Query)]
-    walk = branch_path(p, inst.conflict_qid)
-    bid, conflict_arm = walk[0]
-    branch = next(b for b in p.branches() if b.id == bid)
-    classes = classify_variables(p)
+    branch, conflict_arm = p.arms(inst.conflict_qid)[0]
 
     def rec(i, env, entries):
         if i == len(top):
@@ -256,7 +246,7 @@ def _away_trace(inst):
                 return None
             done = list(entries)
             qid, answer, _ = done[-1]
-            done[-1] = (qid, answer, [(bid, decision)])
+            done[-1] = (qid, answer, [(branch.id, decision)])
             return done
         q = top[i]
         answers = _answers(q, env, db)
@@ -265,7 +255,7 @@ def _away_trace(inst):
             env2 = dict(env)
             if a is NO_ANSWER:
                 for v in q.output_variables():
-                    if classes[(q.id, v)] == "uninstantiated":
+                    if p.first_binding(v) == q.id:
                         env2[v] = None
             else:
                 env2.update(a)
@@ -300,13 +290,15 @@ def test_criterion_8_step_consistency():
 def _chain_tables(inst, needed):
     p, db = inst.ast, inst.db
     qids = set()
-    frontier = {instantiating_query(p, v) for v in needed}
+    frontier = {p.first_binding(v) for v in needed}
     while frontier:
         qid = frontier.pop()
         qids.add(qid)
-        for v in query_prior_variables(p, p.query(qid)):
-            nxt = instantiating_query(p, v)
-            if nxt not in qids:
+        q = p.query(qid)
+        # The query's prior variables: those it reads that another query binds.
+        for v in set(q.output_variables()).union(*(c.variables() for c in q.where)):
+            nxt = p.first_binding(v)
+            if nxt != qid and nxt not in qids:
                 frontier.add(nxt)
     tables = set()
     for qid in qids:
@@ -363,8 +355,7 @@ def test_criterion_9_monotonicity():
         # Emptying every table the gating variables depend on starves the
         # path conditions and must flip the verdict to spurious.
         needed = set()
-        for bid, _arm in branch_path(inst.ast, inst.conflict_qid):
-            branch = next(b for b in inst.ast.branches() if b.id == bid)
+        for branch, _arm in inst.ast.arms(inst.conflict_qid):
             for cond in branch.conditions:
                 needed |= cond.variables()
         doomed = _chain_tables(inst, needed)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
+import inspect
 import json
 
 import pytest
@@ -616,3 +618,89 @@ def test_parse_unconvertible_literal_exit_two(capsys, tmp_path, literal, message
     assert_input_error(
         run(capsys, "parse", "--protocol", str(path)), message, "line 2, column 14"
     )
+
+
+def test_parse_non_utf8_protocol_exit_two(capsys, tmp_path):
+    path = tmp_path / "latin1.pv"
+    path.write_bytes("get (title: t) from Book where (t = 'Café');\n".encode("latin-1"))
+    assert_input_error(
+        run(capsys, "parse", "--protocol", str(path)), str(path), "byte 40"
+    )
+
+
+def test_verify_db_non_utf8_table_exit_two(capsys, tmp_path):
+    import shutil
+
+    shutil.copytree(DB_REALIZABLE, tmp_path / "db")
+    book = tmp_path / "db" / "Book.csv"
+    size = book.stat().st_size
+    with open(book, "ab") as fh:
+        fh.write(b"\xe9")
+    assert_input_error(
+        run(capsys, "verify-db", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+            "--db", str(tmp_path / "db")),
+        str(book), f"byte {size}",
+    )
+
+
+def inheritance_chain(tmp_path, length, closed=False):
+    """A server of ``length`` classes, each the only subclass of the one
+    before; ``closed`` makes the first a subclass of the last."""
+    names = [f"C{i}" for i in range(length)]
+    classes = [{"name": names[0], "dataProperties": ["p"]}]
+    classes += [{"name": b, "superclasses": [a]} for a, b in zip(names, names[1:])]
+    if closed:
+        classes[0]["superclasses"] = [names[-1]]
+    server = tmp_path / "chain.json"
+    server.write_text(json.dumps({"classes": classes}))
+    protocol = tmp_path / "chain.pv"
+    protocol.write_text(f"get (p: x) from {names[-1]};\n")
+    return str(server), str(protocol)
+
+
+def test_check_deep_inheritance_chain(capsys, tmp_path):
+    server, protocol = inheritance_chain(tmp_path, 1500)
+    code, out, _err = run(capsys, "check", "--server", server, "--protocol", protocol)
+    assert code == 0
+    assert out == "no ontology-level conflicts\n"
+
+
+def test_check_deep_inheritance_cycle_exit_two(capsys, tmp_path):
+    server, protocol = inheritance_chain(tmp_path, 1500, closed=True)
+    assert_input_error(
+        run(capsys, "check", "--server", server, "--protocol", protocol),
+        "inheritance cycle: C0 -> C1 -> ",
+    )
+
+
+def test_calls_leave_no_protoverify_cycles(capsys, tmp_path):
+    """A CLI call leaves no reference cycle that holds a protoverify
+    object or function, so the objects it built are freed when it
+    returns rather than at the next cyclic collection. Cycles inside the
+    standard library's JSON encoder are not counted."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([{"queryId": 1, "answer": None}]))
+    calls = [
+        ("check", "--server", PUB_SERVER, "--protocol", PROTOCOL1),
+        ("verify-db", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_REALIZABLE, "--format", "json"),
+        ("step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_REALIZABLE, "--trace", str(trace)),
+        ("parse", "--protocol", PROTOCOL1, "--format", "json"),
+    ]
+    for argv in calls:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run(capsys, *argv)
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage
+                if type(obj).__module__.startswith("protoverify")
+                or (inspect.isfunction(obj)
+                    and obj.__module__.startswith("protoverify"))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == [], argv[0]

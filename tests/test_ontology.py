@@ -1,6 +1,7 @@
 """Tests for the ontology graph model and its lookups."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from protoverify.errors import (
     OntologyFormatError,
     UnknownClassError,
 )
-from protoverify.ontology import OntologyGraph, parse_ontology
+from protoverify.ontology import ClassNode, OntologyGraph, parse_ontology
 
 
 def graph_from(doc):
@@ -190,3 +191,60 @@ def test_random_dags_load_and_close_transitively(names, data):
             assert g.effective_properties(b) >= frozenset(
                 g.classes[a].data_properties
             )
+
+
+def reference_cycle(classes, children):
+    """A recursive depth-first cycle search: the reference the iterative
+    ``_find_cycle`` must agree with."""
+    color = {n: "white" for n in classes}
+    path = []
+
+    def visit(n):
+        color[n] = "grey"
+        path.append(n)
+        for child in children[n]:
+            if color[child] == "grey":
+                return path[path.index(child):] + [child]
+            if color[child] == "white":
+                found = visit(child)
+                if found:
+                    return found
+        path.pop()
+        color[n] = "black"
+        return None
+
+    for n in classes:
+        if color[n] == "white":
+            found = visit(n)
+            if found:
+                return found
+    return None
+
+
+def test_find_cycle_matches_recursive_reference():
+    """On random small digraphs, self-loops included, the iterative walk
+    returns the list the recursive one does, over the same child sets."""
+    seen = []
+
+    class Recording(OntologyGraph):
+        def _find_cycle(self):
+            found = super()._find_cycle()
+            seen.append((found, reference_cycle(self.classes, self._children)))
+            return found
+
+    rng = random.Random(1111)
+    cycles = 0
+    for _ in range(500):
+        names = [f"C{i}" for i in range(rng.randint(1, 7))]
+        edges = {
+            (rng.choice(names), rng.choice(names))
+            for _ in range(rng.randint(0, 2 * len(names)))
+        }
+        try:
+            Recording([ClassNode(n) for n in names], edges)
+        except InheritanceCycleError as exc:
+            assert exc.cycle == seen[-1][0]
+            cycles += 1
+        found, expected = seen[-1]
+        assert found == expected
+    assert 50 < cycles < 450

@@ -12,7 +12,6 @@ from protoverify.errors import (
     ProtocolSemanticError,
     ProtocolSyntaxError,
     UnknownQueryError,
-    UnknownVariableError,
 )
 from protoverify.protocol import (
     COMPARISON_OPS,
@@ -23,11 +22,8 @@ from protoverify.protocol import (
     ProtocolAst,
     Query,
     Var,
-    branch_path,
-    classify_variables,
     compile_condition,
     eval_condition,
-    instantiating_query,
     parse_protocol,
     print_protocol,
 )
@@ -98,7 +94,7 @@ def nested_ifs(depth):
 
 def test_nesting_bound():
     deepest = parse_protocol(nested_ifs(MAX_NESTING))
-    assert len(branch_path(deepest, 2)) == MAX_NESTING
+    assert len(deepest.arms(2)) == MAX_NESTING
     assert parse_protocol(print_protocol(deepest)) == deepest
     with pytest.raises(ProtocolSyntaxError) as exc:
         parse_protocol(nested_ifs(MAX_NESTING + 1))
@@ -213,30 +209,6 @@ def test_query_ids_monotonic(protocol3):
     assert ids == sorted(ids) == list(range(1, len(ids) + 1))
 
 
-def test_classify_variables_protocol1(protocol1):
-    cls = classify_variables(protocol1)
-    assert cls[(1, "a")] == "uninstantiated"
-    assert cls[(2, "a")] == "instantiated"
-    assert cls[(2, "t2")] == "uninstantiated"
-
-
-def test_classify_variables_single_query():
-    p = parse_protocol("get (title: t, author: a) from Book;")
-    assert set(classify_variables(p).values()) == {"uninstantiated"}
-
-
-def test_classify_variables_protocol2(protocol2):
-    cls = classify_variables(protocol2)
-    assert cls[(2, "b1")] == "instantiated"
-
-
-def test_exactly_one_uninstantiated_site(protocol1, protocol2, protocol3):
-    for p in (protocol1, protocol2, protocol3):
-        cls = classify_variables(p)
-        fresh = [v for (qid, v), kind in cls.items() if kind == "uninstantiated"]
-        assert len(fresh) == len(set(fresh))
-
-
 def path_guards(p, qid):
     """The guards on a query's path, as text, each with the arm the path
     takes: the index keeps an else arm as its branch and False rather
@@ -277,20 +249,11 @@ def test_path_conditions_unknown_query(protocol1):
         protocol1.path_queries(99)
 
 
-def test_branch_path(protocol3):
-    assert branch_path(protocol3, 2) == [(1, True)]
-    assert branch_path(protocol3, 3) == [(1, False)]
-
-
-def test_instantiating_query(protocol1, protocol2):
-    assert instantiating_query(protocol1, "a") == 1
-    assert instantiating_query(protocol1, "t3") == 3
-    assert instantiating_query(protocol2, "mod") == 2
-
-
-def test_instantiating_query_unknown(protocol1):
-    with pytest.raises(UnknownVariableError):
-        instantiating_query(protocol1, "zz")
+def test_first_binding(protocol1, protocol2):
+    assert protocol1.first_binding("a") == 1
+    assert protocol1.first_binding("t3") == 3
+    assert protocol2.first_binding("mod") == 2
+    assert protocol1.first_binding("zz") is None
 
 
 def test_eval_condition_null_rules():

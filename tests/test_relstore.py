@@ -107,7 +107,6 @@ def test_select_conjunction():
 def test_select_empty_conds_identity():
     r = rel(["a"], ["int"], [(1,), (2,)])
     assert select(r, []).rows == r.rows
-    assert select(r, [], mode="disjunction").rows == r.rows
 
 
 def test_select_null_excluded():
@@ -124,13 +123,6 @@ def test_select_null_test():
     assert select(r, [Condition(Var("col"), "!=", Lit(None))]).rows == frozenset(
         {("Red",)}
     )
-
-
-def test_select_disjunction():
-    r = rel(["a"], ["int"], [(1,), (5,), (9,)])
-    conds = [Condition(Var("a"), "=", Lit(1)), Condition(Var("a"), "=", Lit(9))]
-    assert select(r, conds, mode="disjunction").rows == frozenset({(1,), (9,)})
-    assert select(r, conds, mode="conjunction").is_empty()
 
 
 def test_select_unknown_column():

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from conftest import FIXTURES
 from instgen import make_instance
 from protoverify import values
 from protoverify.consistency import check_consistency
@@ -14,10 +15,17 @@ from protoverify.errors import (
     UncoveredBindingError,
     UnresolvableClassError,
 )
-from protoverify.ontology import parse_ontology
+from protoverify.ontology import load_ontology, parse_ontology
 from protoverify.oracle import enumerate_reaching_traces, is_reachable
 from protoverify.protocol import parse_protocol, print_protocol
-from protoverify.relstore import Database, Relation, class_extent, relation, select
+from protoverify.relstore import (
+    Database,
+    Relation,
+    class_extent,
+    load_database,
+    relation,
+    select,
+)
 from protoverify import protocol, spuriousness
 from protoverify.spuriousness import (
     CONJUNCTION,
@@ -27,7 +35,6 @@ from protoverify.spuriousness import (
     _reaching_states,
     generate_assignable_set,
     parse_trace,
-    query_prior_variables,
     step_verify,
     verify_all,
 )
@@ -37,13 +44,8 @@ def conflicts_for(p, server):
     return check_consistency(p, server)
 
 
-def test_query_prior_variables(protocol1):
-    assert query_prior_variables(protocol1, protocol1.query(1)) == frozenset()
-    assert query_prior_variables(protocol1, protocol1.query(2)) == frozenset({"a"})
-
-
 def test_generate_q1_singleton(protocol1, pub_db_spurious):
-    rel = generate_assignable_set(protocol1.query(1), [], pub_db_spurious)
+    rel = generate_assignable_set(protocol1.query(1), pub_db_spurious)
     assert set(rel.columns) == {"t1", "a", "d1"}
     assert len(rel.rows) == 1
     row = dict(zip(rel.columns, next(iter(rel.rows))))
@@ -66,41 +68,25 @@ def test_generate_empty_extent(protocol1, pub_db_spurious):
             ),
         }
     )
-    rel = generate_assignable_set(protocol1.query(2), [], db)
+    rel = generate_assignable_set(protocol1.query(2), db)
     assert rel.is_empty()
-
-
-def test_generate_with_prior(protocol1, pub_db_spurious):
-    prior = relation("prior", ["a"], ["str"], [("Knuth",)])
-    rel = generate_assignable_set(protocol1.query(2), [prior], pub_db_spurious)
-    assert set(rel.columns) == {"a", "t2"}
-    assert all(
-        dict(zip(rel.columns, row))["a"] == "Knuth" for row in rel.rows
-    )
-    assert rel.is_empty()  # no Book by Knuth in the spurious database
-
-
-def test_generate_with_prior_realizable(protocol1, pub_db_realizable):
-    prior = relation("prior", ["a"], ["str"], [("Knuth",)])
-    rel = generate_assignable_set(protocol1.query(2), [prior], pub_db_realizable)
-    assert {dict(zip(rel.columns, row))["t2"] for row in rel.rows} == {"TAOCP"}
 
 
 def test_generate_unresolvable_class(pub_db_spurious):
     p = parse_protocol("get (title: t) from Pamphlet;")
     with pytest.raises(UnresolvableClassError):
-        generate_assignable_set(p.query(1), [], pub_db_spurious)
+        generate_assignable_set(p.query(1), pub_db_spurious)
 
 
 def test_generate_uncovered_binding(pub_db_spurious):
     p = parse_protocol("get (pages: n) from Book;")
     with pytest.raises(UncoveredBindingError):
-        generate_assignable_set(p.query(1), [], pub_db_spurious)
+        generate_assignable_set(p.query(1), pub_db_spurious)
 
 
 def test_generate_repeated_variable_equates(pub_db_spurious):
     p = parse_protocol("get (title: x, author: x) from Book;")
-    rel = generate_assignable_set(p.query(1), [], pub_db_spurious)
+    rel = generate_assignable_set(p.query(1), pub_db_spurious)
     assert rel.is_empty()
 
 
@@ -222,7 +208,7 @@ def test_cache_coherence(protocol1, pub_db_realizable):
     assert set(ctx.answers) == {1, 2}
     assert _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"}) == first
     for qid, (rel, _deferred) in ctx.answers.items():
-        fresh = generate_assignable_set(protocol1.query(qid), [], pub_db_realizable)
+        fresh = generate_assignable_set(protocol1.query(qid), pub_db_realizable)
         assert rel.rows == fresh.rows
 
 
@@ -302,9 +288,9 @@ def test_verify_all_builds_each_answer_once(
     built = []
     real = spuriousness.generate_assignable_set
 
-    def counting(q, prior_tables, db):
+    def counting(q, db):
         built.append(q.id)
-        return real(q, prior_tables, db)
+        return real(q, db)
 
     monkeypatch.setattr(spuriousness, "generate_assignable_set", counting)
     report = verify_all(p, pub_server, pub_db_realizable, ms)
@@ -373,26 +359,29 @@ def test_step_seeded_answer(protocol1, pub_server, pub_db_realizable):
     assert report.verdict_for(3) == "realizable"
 
 
-def test_verification_builds_no_cycle_holding_the_ast(
-    protocol1, pub_server, pub_db_realizable
-):
-    """Parsing, static and step verification leave no reference cycle
-    that holds the AST, so dropping it frees it at once rather than at
-    the next cyclic collection, and a call adds no AST to the collector's
-    work."""
+def test_verification_builds_no_cycle_holding_the_ast(protocol1):
+    """Loading, parsing, static and step verification leave no reference
+    cycle that holds the ontology or the AST, so dropping them frees them
+    at once rather than at the next cyclic collection, and a call adds
+    neither to the collector's work."""
     text = print_protocol(protocol1)
     raw = [{"queryId": 1, "answer": q1_answer()}]
     gc.collect()
     gc.disable()
     try:
+        server = load_ontology(FIXTURES / "pub-server.json")
+        db = load_database(FIXTURES / "pub-db-realizable", server)
         ast = parse_protocol(text)
-        refs = [weakref.ref(ast), weakref.ref(ast.query(3))]
-        ms = conflicts_for(ast, pub_server)
-        verify_all(ast, pub_server, pub_db_realizable, ms)
-        trace = parse_trace(raw, ast, pub_db_realizable)
-        step_verify(ast, pub_server, pub_db_realizable, ms, trace)
-        del ast, ms, trace
-        assert [ref() for ref in refs] == [None, None]
+        refs = [
+            weakref.ref(ast), weakref.ref(ast.query(3)),
+            weakref.ref(server), weakref.ref(server.classes["Book"]),
+        ]
+        ms = conflicts_for(ast, server)
+        verify_all(ast, server, db, ms)
+        trace = parse_trace(raw, ast, db)
+        step_verify(ast, server, db, ms, trace)
+        del server, db, ast, ms, trace
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
