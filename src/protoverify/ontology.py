@@ -210,7 +210,7 @@ class OntologyGraph:
 
 def parse_ontology(doc: dict) -> OntologyGraph:
     """Build a graph from a parsed ontology document."""
-    if not isinstance(doc, dict) or "classes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise OntologyFormatError("ontology document must have a 'classes' array")
     nodes = []
     edges = set()
@@ -218,23 +218,37 @@ def parse_ontology(doc: dict) -> OntologyGraph:
         if not isinstance(entry, dict) or "name" not in entry:
             raise OntologyFormatError("each class entry needs a 'name'")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise OntologyFormatError(f"class name {name!r} must be a string")
+        abstract = entry.get("abstract", False)
+        if not isinstance(abstract, bool):
+            raise OntologyFormatError(f"abstract of {name!r} must be a boolean")
         obj_props = entry.get("objectProperties", {})
-        if not isinstance(obj_props, dict):
+        if not _is_string_map(obj_props):
             raise OntologyFormatError(
-                f"objectProperties of {name!r} must be an object"
+                f"objectProperties of {name!r} must be an object mapping names to class names"
             )
         data_props = _string_list(entry, "dataProperties")
         nodes.append(
             ClassNode(
                 name=name,
-                abstract=bool(entry.get("abstract", False)),
+                abstract=abstract,
                 data_properties=tuple(data_props),
                 object_properties=tuple(sorted(obj_props.items())),
             )
         )
         for sup in _string_list(entry, "superclasses"):
             edges.add((sup, name))
-    return OntologyGraph(nodes, edges, doc.get("aliases", {}))
+    aliases = doc.get("aliases", {})
+    if not _is_string_map(aliases):
+        raise OntologyFormatError("aliases must be an object mapping names to class names")
+    return OntologyGraph(nodes, edges, aliases)
+
+
+def _is_string_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
 
 
 def _string_list(entry: dict, key: str) -> list[str]:

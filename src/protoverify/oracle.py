@@ -8,6 +8,11 @@ against.
 
 A query whose answer set is empty (or that the server cannot interpret
 at all) binds its fresh variables to null and execution continues.
+
+Neither the database nor the protocol changes during a search, so one
+search derives each class's extent once and computes a query's answers
+once per state of the variables the query reads. Nothing is kept between
+searches.
 """
 
 from __future__ import annotations
@@ -71,18 +76,22 @@ def _extent_rows(db: Database, class_name: str):
     return rows
 
 
-def _answers(q: Query, env: dict, db: Database):
+def _answers(q: Query, env: dict, db: Database, extents: dict):
     """All answer tuples for a query under the current bindings, or []
     when the server cannot produce any (including unresolvable classes
-    and unanswerable attributes)."""
+    and unanswerable attributes). ``extents`` memoises ``_extent_rows``
+    by class name."""
     per_ref = []
     covered: set[str] = set()
     non_wildcard = [(attr, var) for attr, var in q.bindings if var is not None]
     for ref in q.class_refs:
-        rows = _extent_rows(db, ref.names[-1])
+        name = ref.names[-1]
+        if name not in extents:
+            extents[name] = _extent_rows(db, name)
+        rows = extents[name]
         if rows is None:
             return []
-        node = db.ontology.find_match(ref.names[-1])
+        node = db.ontology.find_match(name)
         attrs = db.ontology.effective_properties(node.name)
         local = [(attr, var) for attr, var in non_wildcard if attr in attrs]
         covered.update(var for _, var in local)
@@ -146,6 +155,12 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
     bindings, answers and branch outcomes of the current prefix are
     mutated in place and undone when the search backs out of a choice.
     With ``first_only`` the search stops at the first arrival.
+
+    A query's answer options are memoised by its id and the state of each
+    variable it reads (its output and where-clause variables): unbound, or
+    bound to a value of a given type, since ``1 == 1.0``. Presence matters
+    because the no-answer option nulls only the unbound output variables.
+    Every execution still counts as a step.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -154,6 +169,9 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
     env: dict[str, object] = {}
     entries: list[tuple[int, tuple | None]] = []
     branches: list[tuple[int, bool]] = []
+    extents: dict[str, list | None] = {}
+    reads: dict[int, tuple[str, ...]] = {}
+    options_memo: dict[tuple, list] = {}
     # Tasks: (_RUN, continuation), (_CHOOSE, query id, options, index,
     # continuation, saved bindings), or (_LEAVE_BRANCH,).
     stack: list[tuple] = [(_RUN, _chain(p.statements, None))]
@@ -194,13 +212,22 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
                 steps += 1
                 if steps > bound:
                     return OracleResult(tuple(traces), True)
-                out_vars = st.output_variables()
-                answers = _answers(st, env, db)
-                if answers:
-                    options = [(tuple(a[v] for v in out_vars), a) for a in answers]
-                else:
-                    # No answer: the fresh variables come back null.
-                    options = [(None, {v: None for v in out_vars if v not in env})]
+                names = reads.get(st.id)
+                if names is None:
+                    where_vars = set().union(*(c.variables() for c in st.where))
+                    names = reads[st.id] = tuple(where_vars.union(st.output_variables()))
+                key = (st.id, tuple((type(env[v]), env[v]) if v in env else _MISSING
+                                    for v in names))
+                options = options_memo.get(key)
+                if options is None:
+                    out_vars = st.output_variables()
+                    answers = _answers(st, env, db, extents)
+                    if answers:
+                        options = [(tuple(a[v] for v in out_vars), a) for a in answers]
+                    else:
+                        # No answer: the fresh variables come back null.
+                        options = [(None, {v: None for v in out_vars if v not in env})]
+                    options_memo[key] = options
                 saved = {v: env.get(v, _MISSING) for v in options[0][1]}
                 stack.append((_CHOOSE, st.id, options, 0, rest, saved))
             elif isinstance(st, Branch):

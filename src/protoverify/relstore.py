@@ -210,8 +210,14 @@ def load_database(source_dir, server: OntologyGraph) -> Database:
     except ValueError as exc:  # also integers past the digit limit
         raise SchemaError(f"malformed manifest.json: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise SchemaError("manifest.json must be an object mapping classes to column tags")
     property_tags: dict[str, str] = {}
     for cls_name, cols in manifest.items():
+        if not isinstance(cols, dict):
+            raise SchemaError(
+                f"manifest entry for {cls_name!r} must be an object mapping columns to tags"
+            )
         node = server.find_match(cls_name)
         if node is None:
             raise SchemaError(f"manifest names unknown class {cls_name!r}")

@@ -436,6 +436,10 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
         if not isinstance(item, dict) or "queryId" not in item:
             raise InconsistentTraceError("trace entry must be an object with a queryId")
         qid = item["queryId"]
+        if type(qid) is not int:
+            raise InconsistentTraceError(
+                f"trace entry queryId {qid!r} must be an integer"
+            )
         q = p.query(qid)
         raw_answer = item.get("answer")
         if raw_answer is None:

@@ -249,7 +249,7 @@ def _away_trace(inst):
             done[-1] = (qid, answer, [(branch.id, decision)])
             return done
         q = top[i]
-        answers = _answers(q, env, db)
+        answers = _answers(q, env, db, {})
         options = answers if answers else [NO_ANSWER]
         for a in options:
             env2 = dict(env)

@@ -451,6 +451,27 @@ def test_check_string_data_properties_exit_two(capsys, tmp_path):
     assert "dataProperties" in err
 
 
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ({"classes": [{"name": 5}]}, ("class name 5",)),
+        ({"classes": [{"name": ["A"]}]}, ("class name ['A']",)),
+        ({"classes": [{"name": "Base"}], "aliases": [1]}, ("aliases",)),
+        ({"classes": [{"name": "Base"}], "aliases": {"B": 1}}, ("aliases",)),
+        ({"classes": [{"name": "Base", "abstract": "no"}]}, ("abstract", "'Base'")),
+        ({"classes": [{"name": "A", "objectProperties": {"p": ["A"]}}]},
+         ("objectProperties", "'A'")),
+        ({"classes": 5}, ("'classes' array",)),
+    ],
+)
+def test_check_malformed_class_fields_exit_two(capsys, tmp_path, doc, words):
+    server = tmp_path / "server.json"
+    server.write_text(json.dumps(doc))
+    assert_input_error(
+        run(capsys, "check", "--server", str(server), "--protocol", PROTOCOL1), *words
+    )
+
+
 def base_db(tmp_path):
     """A one-class server whose attributes carry int, decimal and str
     tags, with its data directory."""
@@ -590,6 +611,25 @@ def test_verify_db_oversized_integer_in_manifest_exit_two(capsys, tmp_path):
         run(capsys, "verify-db", "--server", server, "--protocol", str(protocol),
             "--db", db),
         "malformed manifest.json",
+    )
+
+
+@pytest.mark.parametrize(
+    "manifest, words",
+    [
+        ([{"Base": {"a1": "int"}}], ("manifest.json must be an object",)),
+        ({"Base": ["a1", "a2", "name", "price"]}, ("'Base'", "must be an object")),
+    ],
+)
+def test_verify_db_malformed_manifest_exit_two(capsys, tmp_path, manifest, words):
+    server, db = base_db(tmp_path)
+    (tmp_path / "db" / "manifest.json").write_text(json.dumps(manifest))
+    protocol = tmp_path / "p.pv"
+    protocol.write_text("get (a1: x) from Base;")
+    assert_input_error(
+        run(capsys, "verify-db", "--server", server, "--protocol", str(protocol),
+            "--db", db),
+        *words,
     )
 
 

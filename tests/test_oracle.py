@@ -1,11 +1,18 @@
 """Tests for the brute-force execution oracle."""
 
+import datetime
+import hashlib
+import random
+
 import pytest
 
+from instgen import make_instance
+from protoverify import oracle
 from protoverify.errors import BoundExceededError
+from protoverify.ontology import parse_ontology
 from protoverify.oracle import enumerate_reaching_traces, is_reachable
 from protoverify.protocol import parse_protocol
-from protoverify.relstore import Relation, class_extent
+from protoverify.relstore import Database, Relation, class_extent
 
 
 def test_spurious_fixture_has_no_traces(protocol1, pub_db_spurious):
@@ -101,3 +108,124 @@ def test_branch_outcomes_recorded(protocol1, pub_db_realizable):
     result = enumerate_reaching_traces(protocol1, pub_db_realizable, 3)
     for trace in result.traces:
         assert (1, True) in trace.branches
+
+
+# --- identity and memoisation ---
+
+# Protocols in which one query is reached with a variable bound on some
+# executions and unbound on others (bound in one arm only, or by a query
+# that found no answer), over int and decimal columns, nulls, dates and
+# multi-class from lists. instgen's straight-line queries never reach a
+# query in both states.
+MEMO_PROTOCOLS = (
+    "get (a1: x, a4: s) from Base;\n"
+    "if (s = 1) { get (a2: z) from Kid1 where (z > 1); }\n"
+    "get (a2: z, a3: y) from Kid1 where (y >= x);\n"
+    "if (z != null) { get (a1: w, a5: d) from Base, Kid2 where (w = y) (d.year > 2000); }\n"
+    "get (ghost: g) from Missing;\n",
+    "get (a1: x) from Base where (x <= 1);\n"
+    "if (x = null) { do Skip(); } else { get (a4: s) from Base where (s = x); }\n"
+    "get (a4: s, a1: t) from Base;\n"
+    "get (a2: u, a6: *) from Kid1, Kid2 where (u != t);\n"
+    "if (s != null) (u = 1) { get (ghost: g) from Missing; }\n",
+)
+
+
+def _memo_database(rng: random.Random) -> Database:
+    server = parse_ontology({"classes": [
+        {"name": "Base", "dataProperties": ["a1", "a4"]},
+        {"name": "Kid1", "superclasses": ["Base"], "dataProperties": ["a2", "a3"]},
+        {"name": "Kid2", "superclasses": ["Base"], "dataProperties": ["a5", "a6"]},
+    ]})
+    tags = {"a1": "int", "a2": "int", "a3": "decimal", "a4": "int",
+            "a5": "date", "a6": "str"}
+    domains = {"a1": range(3), "a2": range(3), "a3": (0.0, 1.0, 1.5, 2.0),
+               "a4": range(3), "a5": (datetime.date(1999, 5, 1), datetime.date(2009, 1, 31)),
+               "a6": ("p", "q")}
+    tables = {}
+    for name in server.classes:
+        cols = tuple(sorted(server.effective_properties(name)))
+        rows = frozenset(
+            tuple(None if rng.random() < 0.15 else rng.choice(domains[c]) for c in cols)
+            for _ in range(rng.randint(0, 4))
+        )
+        tables[name] = Relation(cols, tuple(tags[c] for c in cols), rows, name)
+    return Database(tables, server, tags)
+
+
+def _digest_cases():
+    for seed in range(120):
+        inst = make_instance(random.Random(seed), force_branch=seed % 2 == 1)
+        yield inst.ast, inst.db
+    for text in MEMO_PROTOCOLS:
+        ast = parse_protocol(text)
+        for seed in range(30):
+            yield ast, _memo_database(random.Random(seed))
+
+
+def _outcome(fn) -> str:
+    try:
+        return repr(fn())
+    except Exception as exc:  # the exception is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+ORACLE_DIGEST = "e907f7f07fcfedad6bd0c9aee23234c5ccfe356ed13ade86e004774f9aa74dcb"
+
+
+def test_oracle_outcomes_match_golden_digest():
+    """Every trace, in order, and every reachability outcome or exception
+    over a fixed instance set, every query and several step bounds."""
+    h = hashlib.sha256()
+    for ast, db in _digest_cases():
+        for q in ast.queries():
+            for bound in (1, 2, 3, 4, 5, 10**6):
+                h.update(_outcome(
+                    lambda: enumerate_reaching_traces(ast, db, q.id, bound)).encode())
+                h.update(_outcome(lambda: is_reachable(ast, db, q.id, bound)).encode())
+    assert h.hexdigest() == ORACLE_DIGEST
+
+
+def _read_state(q, env) -> tuple:
+    reads = set(q.output_variables()).union(*(c.variables() for c in q.where))
+    return (q.id, tuple(sorted(
+        (v, v in env, type(env.get(v)).__name__, repr(env.get(v))) for v in reads)))
+
+
+def test_search_builds_each_extent_and_answer_set_once(monkeypatch):
+    """Within one search every class extent is derived once and a query's
+    answers are computed once per state of the variables it reads."""
+    extent_calls, answer_keys = [], []
+    real_extent, real_answers = oracle._extent_rows, oracle._answers
+
+    def counting_extent(db, class_name):
+        extent_calls.append(class_name)
+        return real_extent(db, class_name)
+
+    def counting_answers(q, env, *rest):
+        answer_keys.append(_read_state(q, env))
+        return real_answers(q, env, *rest)
+
+    monkeypatch.setattr(oracle, "_extent_rows", counting_extent)
+    monkeypatch.setattr(oracle, "_answers", counting_answers)
+
+    # Query 2 reads only its own fresh variable, so every answer of
+    # query 1 reaches it in the same state.
+    db = _memo_database(random.Random(1))
+    ast = parse_protocol("get (a1: x) from Base;\nget (a4: y) from Base;\n"
+                         "get (ghost: g) from Missing;\n")
+    result = enumerate_reaching_traces(ast, db, 3)
+    assert len(result.traces) > 1
+    assert extent_calls == ["Base"]
+    assert [key[0] for key in answer_keys] == [1, 2]
+
+    for text in MEMO_PROTOCOLS:
+        ast = parse_protocol(text)
+        for seed in range(30):
+            db = _memo_database(random.Random(seed))
+            for q in ast.queries():
+                extent_calls.clear()
+                answer_keys.clear()
+                enumerate_reaching_traces(ast, db, q.id)
+                assert len(extent_calls) == len(set(extent_calls))
+                assert len(answer_keys) == len(set(answer_keys))

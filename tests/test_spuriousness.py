@@ -471,6 +471,10 @@ def test_parse_trace_malformed_branch(protocol1, pub_db_spurious, branch):
         [{"queryId": 1, "answer": {"t1": "T", "a": "A", "d1": 19730101}}],
         [{"queryId": 1, "answer": {"t1": 5, "a": "A", "d1": "1973-01-01"}}],
         [{"queryId": 1, "answer": {"t1": "T", "a": False, "d1": "1973-01-01"}}],
+        [{"queryId": True, "answer": None}],
+        [{"queryId": 1.0, "answer": None}],
+        [{"queryId": [1], "answer": None}],
+        [{"queryId": "1", "answer": None}],
     ],
 )
 def test_parse_trace_malformed_entry(protocol1, pub_db_spurious, raw):
