@@ -181,7 +181,8 @@ class Database:
     """Tables for exactly the non-abstract classes of a server ontology.
 
     Neither the tables nor the ontology change after construction, so
-    class extents are built once per instance (see ``class_extent``).
+    class extents are built once per instance (see ``class_extent``), and
+    so is each hash index on an extent's attribute (see ``extent_index``).
     """
 
     def __init__(self, tables: dict[str, Relation], ontology: OntologyGraph,
@@ -190,6 +191,7 @@ class Database:
         self.ontology = ontology
         self.property_tags = dict(property_tags)
         self.extents: dict[str, Relation] = {}
+        self.indexes: dict[tuple[str, str], dict[object, frozenset[tuple]]] = {}
 
     def with_tables(self, tables: dict[str, Relation]) -> "Database":
         """Copy with some tables replaced; used by deletion experiments."""
@@ -327,6 +329,26 @@ def class_extent(db: Database, class_name: str) -> Relation:
     extent = Relation(columns, tags, frozenset(rows), node.name)
     db.extents[node.name] = extent
     return extent
+
+
+def extent_index(db: Database, class_name: str, attribute: str) -> dict:
+    """The rows of a class's extent grouped by their value of one
+    attribute, nulls left out: a lookup finds the rows whose value equals
+    the key, as ``=`` compares them (an int key finds an equal decimal).
+    Built once per database, class name and attribute."""
+    key = (class_name, attribute)
+    index = db.indexes.get(key)
+    if index is None:
+        extent = class_extent(db, class_name)
+        i = extent.index(attribute)
+        groups: dict[object, list[tuple]] = {}
+        for row in extent.rows:
+            if row[i] is not None:
+                groups.setdefault(row[i], []).append(row)
+        index = db.indexes[key] = {
+            value: frozenset(rows) for value, rows in groups.items()
+        }
+    return index
 
 
 def extent_tables(db: Database, class_name: str) -> list[str]:

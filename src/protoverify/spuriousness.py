@@ -13,12 +13,22 @@ the path takes. States are projected onto the variables that a later
 path query or a guard still reads, keeping the smallest full row behind
 each projected state for the witness, and each query finds a state's
 answers through a hash index on the variables they share. Where
-conditions over earlier variables and branch guards are compiled once
-per decision into predicates over the state and answer tuples
-(``protocol.compile_condition``), so no row is turned into a dict. A
-query's answer relation depends only on the query and the database, so
-one verification call builds it at most once and shares it across all
-conflicts whose paths pass through the query.
+conditions over earlier variables are compiled once per extension step,
+and branch guards once per decision, into predicates over the state and
+answer tuples (``protocol.compile_condition``), so no row is turned into
+a dict.
+
+One verification call shares its work across conflicts. A query's
+answer relation depends only on the query and the database, so the call
+builds it at most once. An extension step depends only on the state set
+it extends, the query and the bound columns it keeps live, so the call
+computes each distinct step once, and conflicts whose paths share a
+prefix share its steps; each conflict still keeps only its own live
+columns, so no state set is larger than that conflict alone needs. A
+``var = literal`` key lookup reads the matching rows from a hash index
+on the attribute, built once per database (``relstore.extent_index``),
+unless the manifest tags allow one of the query's where conditions to
+raise.
 
 Step mode seeds concrete answers from a conversation prefix and prunes
 conflicts behind branch decisions that were already taken.
@@ -27,6 +37,7 @@ conflicts behind branch decisions that were already taken.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from . import values
@@ -41,12 +52,23 @@ from .ontology import OntologyGraph
 from .protocol import (
     Branch,
     Condition,
+    Lit,
     ProtocolAst,
     Query,
+    Var,
     compile_condition,
     eval_condition,
 )
-from .relstore import Database, Relation, class_extent, natural_join, project, rename, select
+from .relstore import (
+    Database,
+    Relation,
+    class_extent,
+    extent_index,
+    natural_join,
+    project,
+    rename,
+    select,
+)
 
 CONJUNCTION = "conjunction"
 DISJUNCTION = "disjunction"
@@ -73,10 +95,13 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
     Each class reference contributes its extent with bound attribute
     columns renamed to the query's variables; everything is joined,
     filtered by the where conditions over the query's own variables, and
-    projected onto those variables.
+    projected onto those variables. A ``var = literal`` key lookup reads
+    only the extent rows that an index on the attribute finds for the
+    literal, when none of those where conditions can raise.
     """
     out_vars = list(q.output_variables())
     non_wildcard = [(attr, var) for attr, var in q.bindings if var is not None]
+    lookups = _key_lookups(q, db)
 
     parts: list[Relation] = []
     covered: set[str] = set()
@@ -97,6 +122,10 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
             # variable columns and cannot constrain anything.
             continue
         covered.update(var for _, var in local)
+        key = next(((attr, lookups[var]) for attr, var in local if var in lookups), None)
+        if key is not None:
+            rows = extent_index(db, ext.name, key[0]).get(key[1], frozenset())
+            ext = Relation._derived(ext.columns, ext.tags, rows, ext.name)
         part = project(ext, [attr for attr, _ in local])
         # Two attributes bound to one variable inside a single class act
         # as an equality constraint; nulls never satisfy it.
@@ -136,6 +165,47 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
     return project(select(t, applicable), out_vars)
 
 
+def _key_lookups(q: Query, db: Database) -> dict[str, object]:
+    """Variable -> literal for the query's ``var = literal`` conditions,
+    or nothing when the manifest tags allow one of its where conditions
+    over its own variables to raise. Then the extent is scanned, so the
+    error comes from the same row as it would without the lookup."""
+    lookups: dict[str, object] = {}
+    for cond in q.where:
+        if cond.op != "=":
+            continue
+        for var, lit in ((cond.lhs, cond.rhs), (cond.rhs, cond.lhs)):
+            if (isinstance(var, Var) and var.date_field is None
+                    and isinstance(lit, Lit) and lit.value is not None):
+                lookups.setdefault(var.name, lit.value)
+    if not lookups:
+        return lookups
+    var_tags: dict[str, set] = {}
+    for attr, var in q.bindings:
+        if var is not None:
+            var_tags.setdefault(var, set()).add(db.property_tags.get(attr))
+    for cond in q.where:
+        if not cond.variables() <= var_tags.keys():
+            continue  # applied per state, against earlier variables
+        sides = []
+        for operand in (cond.lhs, cond.rhs):
+            if isinstance(operand, Lit):
+                sides.append(None if operand.value is None
+                             else {values.tag_of(operand.value)})
+            elif operand.date_field is None:
+                sides.append(var_tags[operand.name])
+            elif var_tags[operand.name] == {"date"}:
+                sides.append({"int"})
+            else:
+                return {}  # a date field of a value that may not be a date
+        if None in sides:
+            continue  # a null test compares nothing
+        if not all(a in values.TAGS and b in values.TAGS and values.tags_comparable(a, b)
+                   for a in sides[0] for b in sides[1]):
+            return {}
+    return lookups
+
+
 # --- verification context and driver ---
 
 @dataclass
@@ -144,12 +214,19 @@ class VerifyContext:
 
     ``answers`` maps a query id to the query's answer relation and the
     where conditions left for per-state evaluation, built on first use.
-    It never outlives the call: one protocol may be verified against
+    ``steps`` maps (state set, query id, kept columns) to the state set
+    that extension step yields, so conflicts whose paths share a prefix
+    share its steps. ``reads`` and ``fresh`` hold, per query id, the
+    variables the query reads and the ones it binds first on its path.
+    None of it outlives the call: one protocol may be verified against
     several databases.
     """
 
     seeded_answers: dict[int, object] = field(default_factory=dict)
     answers: dict[int, tuple[Relation, list[Condition]]] = field(default_factory=dict)
+    steps: dict[tuple, "ReachingStates"] = field(default_factory=dict)
+    reads: dict[int, frozenset[str]] = field(default_factory=dict)
+    fresh: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -247,98 +324,125 @@ def _answers(q: Query, ctx: VerifyContext, db: Database):
     return ctx.answers[q.id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ReachingStates:
-    """The states an execution can be in when it arrives at a query.
+    """The states an execution can be in after a prefix of a path.
 
-    ``columns`` lists every variable the path binds, in binding order.
+    ``columns`` lists every variable the prefix binds, in binding order.
     A state is keyed by its values of ``live``, the columns a later path
     query or a guard still reads; all states with one key extend and
     branch alike. ``smallest`` maps each key to the least full row (in
-    ``values.sort_key`` order over ``columns``) among those it stands for.
+    ``values.sort_key`` order over ``columns``) among those it stands
+    for, as (sort key, row). A state set is compared and hashed by
+    identity: it is a node of one call's step memo.
     """
 
     columns: tuple[str, ...]
     live: tuple[str, ...]
-    smallest: dict[tuple, tuple]
+    smallest: dict[tuple, tuple[tuple, tuple]]
+
+
+# The single empty state before the first query.
+_START = ReachingStates((), (), {(): ((), ())})
 
 
 def _row_key(row) -> tuple:
     return tuple(map(values.sort_key, row))
 
 
+def _reads(q: Query, ctx: VerifyContext) -> frozenset[str]:
+    """The variables a query reads: its bindings and where conditions."""
+    reads = ctx.reads.get(q.id)
+    if reads is None:
+        reads = ctx.reads[q.id] = frozenset(q.output_variables()).union(
+            *(c.variables() for c in q.where)
+        )
+    return reads
+
+
 def _reaching_states(p: ProtocolAst, db: Database, target: int,
                      ctx: VerifyContext, needed: set[str]) -> ReachingStates:
-    """Extend the states query by query along the path to the target.
-
-    Each path query extends a state with the answers that agree on the
-    variables they share (null never agrees) and satisfy its deferred
-    where conditions; a state with no such answer continues with the
-    fresh variables null, mirroring the evaluator's no-answer semantics,
-    so there is always at least one state.
+    """The states at the target, extended query by query along its path.
 
     Only the live variables key a state: those the guard variables in
     ``needed`` or a later path query (its bindings or where conditions)
     read. Keeping the smallest full row per key is exact, because the
     extensions of a row depend only on its key and the least extended
     row is the least row extended by the least extension.
+
+    A step is identified by the state set it extends, the query and the
+    bound columns it keeps, so the call computes each distinct step once
+    (``ctx.steps``) however many conflicts' paths take it.
     """
     queries = p.path_queries(target)
-    live_after: list[frozenset[str]] = []
-    read_later = set(needed)
-    for q in reversed(queries):
-        live_after.append(frozenset(read_later))
-        read_later.update(q.output_variables())
-        for cond in q.where:
-            read_later |= cond.variables()
-    live_after.reverse()
+    last_read: dict[str, int] = {}
+    for i, q in enumerate(queries):
+        for v in _reads(q, ctx):
+            last_read[v] = i
+    states = _START
+    for i, q in enumerate(queries):
+        fresh = ctx.fresh.get(q.id)
+        if fresh is None:
+            bound = set(states.columns)
+            fresh = ctx.fresh[q.id] = tuple(
+                v for v in q.output_variables() if v not in bound
+            )
+        keep = tuple(
+            v for v in states.live + fresh if v in needed or last_read[v] > i
+        )
+        step = (states, q.id, keep)
+        nxt = ctx.steps.get(step)
+        if nxt is None:
+            nxt = ctx.steps[step] = _extend(states, q, fresh, keep, ctx, db)
+        states = nxt
+    return states
 
-    cols: list[str] = []
-    key_cols: list[str] = []
-    # key -> (sort key of the smallest full row, that row)
-    states: dict[tuple, tuple[tuple, tuple]] = {(): ((), ())}
-    for q, live in zip(queries, live_after):
-        answers, deferred = _answers(q, ctx, db)
-        a_cols = answers.columns
-        shared = [i for i, v in enumerate(a_cols) if v in cols]
-        fresh = [i for i, v in enumerate(a_cols) if v not in cols]
-        probe_at = [key_cols.index(a_cols[i]) for i in shared]
-        buckets: dict[tuple, list[tuple]] = {}
-        for arow in answers.rows:
-            probe = tuple(arow[i] for i in shared)
-            if None not in probe:
-                buckets.setdefault(probe, []).append(arow)
-        wide_cols = key_cols + [a_cols[i] for i in fresh]
-        keep = [i for i, v in enumerate(wide_cols) if v in live]
-        # Deferred conditions read the state's key and the answer row.
-        where = [compile_condition(c, key_cols + list(a_cols)) for c in deferred]
-        next_states: dict[tuple, tuple[tuple, tuple]] = {}
-        for key, (sort_key, row) in states.items():
-            probe = tuple(key[j] for j in probe_at)
-            extensions: set[tuple] = set()
-            if None not in probe:
-                for arow in buckets.get(probe, ()):
-                    if where:
-                        joined = key + arow
-                        if not all(pred(joined) for pred in where):
-                            continue
-                    extensions.add(tuple(arow[i] for i in fresh))
-            if not extensions:
-                extensions.add((None,) * len(fresh))
-            for ext in extensions:
-                wide = key + ext
-                next_key = tuple(wide[i] for i in keep)
-                ext_sort_key = sort_key + _row_key(ext)
-                best = next_states.get(next_key)
-                if best is None or ext_sort_key < best[0]:
-                    next_states[next_key] = (ext_sort_key, row + ext)
-        cols.extend(a_cols[i] for i in fresh)
-        key_cols = [wide_cols[i] for i in keep]
-        states = next_states
-    return ReachingStates(
-        tuple(cols), tuple(key_cols),
-        {key: row for key, (_sort_key, row) in states.items()},
-    )
+
+def _extend(states: ReachingStates, q: Query, fresh: tuple[str, ...],
+            keep: tuple[str, ...], ctx: VerifyContext, db: Database) -> ReachingStates:
+    """One extension step: the states after ``q``, keyed by ``keep``.
+
+    Each state extends with the answers that agree on the variables they
+    share (null never agrees) and satisfy the query's deferred where
+    conditions; a state with no such answer continues with the
+    ``fresh`` variables null, mirroring the evaluator's no-answer
+    semantics, so there is always at least one state.
+    """
+    answers, deferred = _answers(q, ctx, db)
+    a_cols = answers.columns
+    shared = [i for i, v in enumerate(a_cols) if v not in fresh]
+    fresh_at = [i for i, v in enumerate(a_cols) if v in fresh]
+    probe_at = [states.live.index(a_cols[i]) for i in shared]
+    buckets: dict[tuple, list[tuple]] = {}
+    for arow in answers.rows:
+        probe = tuple(arow[i] for i in shared)
+        if None not in probe:
+            buckets.setdefault(probe, []).append(arow)
+    wide_cols = states.live + fresh
+    keep_at = [wide_cols.index(v) for v in keep]
+    # Deferred conditions read the state's key and the answer row.
+    where = [compile_condition(c, states.live + a_cols) for c in deferred]
+    next_states: dict[tuple, tuple[tuple, tuple]] = {}
+    for key, (sort_key, row) in states.smallest.items():
+        probe = tuple(key[j] for j in probe_at)
+        extensions: set[tuple] = set()
+        if None not in probe:
+            for arow in buckets.get(probe, ()):
+                if where:
+                    joined = key + arow
+                    if not all(pred(joined) for pred in where):
+                        continue
+                extensions.add(tuple(arow[i] for i in fresh_at))
+        if not extensions:
+            extensions.add((None,) * len(fresh_at))
+        for ext in extensions:
+            wide = key + ext
+            next_key = tuple(wide[i] for i in keep_at)
+            ext_sort_key = sort_key + _row_key(ext)
+            best = next_states.get(next_key)
+            if best is None or ext_sort_key < best[0]:
+                next_states[next_key] = (ext_sort_key, row + ext)
+    return ReachingStates(states.columns + fresh, keep, next_states)
 
 
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
@@ -371,13 +475,14 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
         for conds, arm in pairs
     ]
     reaching = []
-    for key, row in states.smallest.items():
+    for key, smallest in states.smallest.items():
         checks = [all(pred(key) for pred in preds) == arm for preds, arm in guards]
         if all(checks) if combination == CONJUNCTION else any(checks):
-            reaching.append(row)
+            reaching.append(smallest)
     if not reaching:
         return ConflictVerdict(qid, SPURIOUS, emptied_at=tuple(sorted(needed)))
-    witness = dict(zip(states.columns, min(reaching, key=_row_key)))
+    _sort_key, row = min(reaching, key=operator.itemgetter(0))
+    witness = dict(zip(states.columns, row))
     return ConflictVerdict(qid, REALIZABLE, witness=witness)
 
 

@@ -16,6 +16,7 @@ nulls never compare equal to anything (including each other).
 from __future__ import annotations
 
 import datetime
+import math
 
 TAGS = ("int", "decimal", "str", "date")
 
@@ -54,13 +55,15 @@ def parse_date(text: str) -> datetime.date:
 
 
 def parse_cell(text: str, tag: str):
-    """Parse a CSV cell under a declared tag. Empty string means null."""
+    """Parse a CSV cell under a declared tag. Empty string means null.
+    A decimal must be finite: NaN has no place in the total order of
+    ``sort_key``, and neither NaN nor an infinity is a JSON number."""
     if text == "":
         return None
     if tag == "int":
         return int(text)
     if tag == "decimal":
-        return float(text)
+        return _finite(float(text), text)
     if tag == "str":
         return text
     if tag == "date":
@@ -79,14 +82,14 @@ def value_from_json(raw, tag: str):
     tag's own kind is accepted: an integer for ``int``, any number for
     ``decimal``, a string for ``str`` and an ISO date string for ``date``;
     booleans are never numbers. Anything else is a TypeError, and a
-    malformed date a ValueError."""
+    malformed date or a decimal that is not finite a ValueError."""
     if raw is None:
         return None
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     if tag == "int" and number and isinstance(raw, int):
         return raw
     if tag == "decimal" and number:
-        return float(raw)
+        return _finite(float(raw), raw)
     if tag == "str" and isinstance(raw, str):
         return raw
     if tag == "date" and isinstance(raw, str):
@@ -94,6 +97,12 @@ def value_from_json(raw, tag: str):
     if tag not in TAGS:
         raise ValueError(f"unknown tag {tag!r}")
     raise TypeError(f"JSON {type(raw).__name__} value {raw!r}")
+
+
+def _finite(value: float, raw) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"decimal {raw!r} is not finite")
+    return value
 
 
 def sort_key(value):

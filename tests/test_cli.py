@@ -744,3 +744,49 @@ def test_calls_leave_no_protoverify_cycles(capsys, tmp_path):
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == [], argv[0]
+
+
+def decimal_table(tmp_path, a_cells):
+    """``Base(a decimal, b int)`` with rows (a_cells[i], i + 1), and a
+    conflict guarded by ``y > 0`` that every row reaches."""
+    server = tmp_path / "server.json"
+    server.write_text(json.dumps({"classes": [{"name": "Base", "dataProperties": ["a", "b"]}]}))
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "manifest.json").write_text(json.dumps({"Base": {"a": "decimal", "b": "int"}}))
+    rows = "".join(f"{a},{i}\n" for i, a in enumerate(a_cells, start=1))
+    (db / "Base.csv").write_text("a,b\n" + rows)
+    protocol = tmp_path / "p.pv"
+    protocol.write_text(
+        "get (a: x, b: y) from Base; if (y > 0) { get (ghost: g) from Missing; }\n"
+    )
+    return ["--server", str(server), "--protocol", str(protocol), "--db", str(db)]
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "1e999"])
+def test_verify_db_non_finite_decimal_cell_exit_two(capsys, tmp_path, cell):
+    """A NaN has no place in the witness order and neither it nor an
+    infinity is a JSON number, so the table is rejected at its line."""
+    args = decimal_table(tmp_path, ["2.0", "1.0", cell, "0.5"])
+    assert_input_error(
+        run(capsys, "verify-db", *args, "--format", "json"),
+        "Base.csv:4:", "column 'a'", "not finite",
+    )
+
+
+def test_verify_db_finite_decimal_witness_is_stable(capsys, tmp_path):
+    args = decimal_table(tmp_path, ["2.0", "1.0", "0.5"])
+    code, out, _err = run(capsys, "verify-db", *args, "--format", "json")
+    assert code == 1
+    assert json.loads(out)[0]["witness"] == {"x": 0.5, "y": 3}
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+def test_step_non_finite_decimal_answer_exit_two(capsys, tmp_path, raw):
+    args = decimal_table(tmp_path, ["2.0", "1.0", "0.5"])
+    trace = tmp_path / "trace.json"
+    trace.write_text('[{"queryId": 1, "answer": {"x": %s, "y": 1}}]' % raw)
+    assert_input_error(
+        run(capsys, "step", *args, "--trace", str(trace)),
+        "query 1", "'x'", "not finite",
+    )

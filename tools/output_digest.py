@@ -4,6 +4,7 @@ Usage, from the repository root::
 
     PYTHONHASHSEED=0 python3 tools/output_digest.py --seed 7
     PYTHONHASHSEED=0 python3 tools/output_digest.py --seed 7 --workload deep-path
+    PYTHONHASHSEED=0 python3 tools/output_digest.py --seed 7 --against ../other
 
 For each workload, ``perfbench/workloads.py`` writes the seed's inputs
 into a temporary directory. ``cli.main`` then runs in this process on:
@@ -19,6 +20,11 @@ that print the same digests for a seed behave byte-identically on these
 calls. Python's hash seed can reach the output through set order, so
 the caller fixes ``PYTHONHASHSEED``; the script refuses to run without it.
 
+``--against DIR`` also runs ``DIR``'s own copy of this script, in a
+child process with the same seed, workloads and ``PYTHONHASHSEED``, and
+compares: each workload whose line differs is printed with the other
+tree's line, and the exit code is 1 if any differs.
+
 Only the standard library, ``perfbench/workloads.py`` and the
 ``protoverify`` sources of this checkout are used; nothing is written
 outside the temporary directory.
@@ -31,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -93,15 +100,37 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--workload", choices=(*workloads.WORKLOADS, "all"), default="all")
+    ap.add_argument("--against", metavar="DIR",
+                    help="compare with the digests of the checkout in DIR")
     args = ap.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED", "random") == "random":
         ap.error("set PYTHONHASHSEED to a fixed value; the digest depends on it")
     chosen = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
+    lines = {}
     for workload in chosen:
         sha, calls, escaped = digest(workload, args.seed)
         detail = ", ".join(f"{n} {name}" for name, n in sorted(escaped.items()))
-        print(f"{workload} {sha} ({calls} calls; escaped: {detail or 'none'})")
-    return 0
+        lines[workload] = f"{workload} {sha} ({calls} calls; escaped: {detail or 'none'})"
+        print(lines[workload], flush=True)
+    if args.against is None:
+        return 0
+    theirs = _lines_of(args.against, args.seed, args.workload)
+    differ = [w for w in chosen if theirs.get(w) != lines[w]]
+    for workload in differ:
+        print(f"differs from {args.against}: {theirs.get(workload, workload + ' (missing)')}")
+    if not differ:
+        print(f"identical to {args.against}")
+    return 1 if differ else 0
+
+
+def _lines_of(tree: str, seed: int, workload: str) -> dict[str, str]:
+    """Workload -> digest line, as the other tree's own script prints it."""
+    script = os.path.join(tree, "tools", "output_digest.py")
+    out = subprocess.run(
+        [sys.executable, script, "--seed", str(seed), "--workload", workload],
+        cwd=tree, capture_output=True, text=True, check=True,
+    ).stdout
+    return {line.split(" ", 1)[0]: line for line in out.splitlines() if line}
 
 
 if __name__ == "__main__":
