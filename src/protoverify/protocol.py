@@ -673,6 +673,37 @@ def compile_condition(cond: Condition, columns):
     return comparison
 
 
+def condition_may_raise(cond: Condition, var_tags) -> bool:
+    """Whether ``compile_condition(cond, ...)`` may raise on rows whose
+    cells of each variable carry one of the tags in ``var_tags[name]``.
+
+    A tag that is not one of ``values.TAGS`` (an undeclared attribute)
+    may be anything. The predicate may raise on a variable missing from
+    ``var_tags``, on a date field of a value that may not be a date, and
+    on two tags that ``_require_comparable`` rejects; a null literal
+    compares nothing.
+    """
+    sides = []
+    for operand in (cond.lhs, cond.rhs):
+        if isinstance(operand, Lit):
+            sides.append(None if operand.value is None
+                         else {values.tag_of(operand.value)})
+        elif operand.name not in var_tags:
+            return True
+        elif operand.date_field is None:
+            sides.append(var_tags[operand.name])
+        elif var_tags[operand.name] == {"date"}:
+            sides.append({"int"})
+        else:
+            return True
+    if None in sides:
+        return False
+    return not all(
+        a in values.TAGS and b in values.TAGS and values.tags_comparable(a, b)
+        for a in sides[0] for b in sides[1]
+    )
+
+
 def _compile_operand(operand: Var | Lit, position: dict):
     """A function of a row that resolves the operand as
     ``resolve_operand`` resolves it against the row's dict."""

@@ -57,6 +57,7 @@ from .protocol import (
     Query,
     Var,
     compile_condition,
+    condition_may_raise,
     eval_condition,
 )
 from .relstore import (
@@ -184,25 +185,10 @@ def _key_lookups(q: Query, db: Database) -> dict[str, object]:
     for attr, var in q.bindings:
         if var is not None:
             var_tags.setdefault(var, set()).add(db.property_tags.get(attr))
-    for cond in q.where:
-        if not cond.variables() <= var_tags.keys():
-            continue  # applied per state, against earlier variables
-        sides = []
-        for operand in (cond.lhs, cond.rhs):
-            if isinstance(operand, Lit):
-                sides.append(None if operand.value is None
-                             else {values.tag_of(operand.value)})
-            elif operand.date_field is None:
-                sides.append(var_tags[operand.name])
-            elif var_tags[operand.name] == {"date"}:
-                sides.append({"int"})
-            else:
-                return {}  # a date field of a value that may not be a date
-        if None in sides:
-            continue  # a null test compares nothing
-        if not all(a in values.TAGS and b in values.TAGS and values.tags_comparable(a, b)
-                   for a in sides[0] for b in sides[1]):
-            return {}
+    # Conditions over earlier variables are applied per state, not here.
+    if any(cond.variables() <= var_tags.keys() and condition_may_raise(cond, var_tags)
+           for cond in q.where):
+        return {}
     return lookups
 
 
@@ -324,7 +310,7 @@ def _answers(q: Query, ctx: VerifyContext, db: Database):
     return ctx.answers[q.id]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class ReachingStates:
     """The states an execution can be in after a prefix of a path.
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from protoverify import values
 from protoverify.errors import (
     IncomparableTagsError,
     ProtocolSemanticError,
@@ -23,6 +24,7 @@ from protoverify.protocol import (
     Query,
     Var,
     compile_condition,
+    condition_may_raise,
     eval_condition,
     parse_protocol,
     print_protocol,
@@ -318,6 +320,41 @@ def test_compiled_condition_matches_eval_condition():
             kinds.add(expected if isinstance(expected, bool) else expected[0])
     assert kinds == {True, False, KeyError, IncomparableTagsError}
 
+
+
+def test_condition_may_raise_is_sound():
+    """Where condition_may_raise answers no, the compiled predicate
+    raises on no row whose cells carry the variables' tags; a date field
+    of a possibly non-date value may raise even against null."""
+    rng = random.Random(20102)
+    tag_sets = [{"int"}, {"decimal"}, {"str"}, {"date"}, {"int", "decimal"},
+                {"int", "str"}, {None}]
+    cells_of = {tag: [c for c in CELLS if c is not None and values.tag_of(c) == tag]
+                for tag in values.TAGS}
+    cells_of[None] = [c for c in CELLS if c is not None]
+    safe = 0
+    for _ in range(4000):
+        cond = Condition(
+            random_operand(rng), rng.choice(COMPARISON_OPS), random_operand(rng)
+        )
+        var_tags = {name: rng.choice(tag_sets) for name in COLUMN_NAMES}
+        if condition_may_raise(cond, var_tags):
+            continue
+        safe += 1
+        pred = compile_condition(cond, COLUMN_NAMES)
+        for _ in range(8):
+            row = tuple(
+                None if rng.random() < 0.2
+                else rng.choice(cells_of[rng.choice(sorted(var_tags[name], key=str))])
+                for name in COLUMN_NAMES
+            )
+            pred(row)
+    assert safe > 500
+    assert condition_may_raise(Condition(Var("x", "year"), "=", Lit(None)), {"x": {"str"}})
+    assert not condition_may_raise(Condition(Var("x", "year"), "=", Lit(5.0)),
+                                   {"x": {"date"}})
+    assert not condition_may_raise(Condition(Var("x"), "=", Lit(5.0)), {"x": {"int"}})
+    assert condition_may_raise(Condition(Var("x"), "=", Lit("5")), {"x": {"int"}})
 
 name_st = st.text(alphabet="abcdexyz", min_size=1, max_size=4)
 lit_st = st.one_of(

@@ -206,10 +206,19 @@ def test_disjunction_mode_weaker(pub_server, pub_db_spurious):
 def test_cache_coherence(protocol1, pub_db_realizable):
     """A cached answer relation equals one built fresh, and reusing it
     leaves the execution states unchanged."""
+    def contents(states):
+        return states.columns, states.live, states.smallest
+
     ctx = VerifyContext()
     first = _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"})
     assert set(ctx.answers) == {1, 2}
-    assert _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"}) == first
+    fresh_states = _reaching_states(protocol1, pub_db_realizable, 3, VerifyContext(), {"t2"})
+    assert contents(first) == contents(fresh_states)
+    # Steps cleared, answers still cached: the steps are rebuilt from them.
+    ctx.steps.clear()
+    again = _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"})
+    assert again is not first
+    assert contents(again) == contents(fresh_states)
     for qid, (rel, _deferred) in ctx.answers.items():
         fresh = generate_assignable_set(protocol1.query(qid), pub_db_realizable)
         assert rel.rows == fresh.rows
