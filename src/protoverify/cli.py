@@ -152,10 +152,14 @@ def _emit_report(report, fmt, out, oracle_agreement=None):
             print(line, file=out)
 
 
-def _oracle_agreement(report, ast, db):
+def _oracle_agreement(report, ast, db, prefix=()):
+    """Whether the oracle, searching from the prefix, finds each conflict
+    reachable exactly when the report calls it realizable. The searches
+    share one memo."""
+    memo = oracle.Memo(ast, db)
     agreement = {}
     for entry in report.entries:
-        reachable = oracle.is_reachable(ast, db, entry.query_id)
+        reachable = oracle.is_reachable(ast, db, entry.query_id, memo=memo, prefix=prefix)
         agreement[entry.query_id] = (
             reachable == (entry.verdict == spuriousness.REALIZABLE)
         )
@@ -187,7 +191,11 @@ def cmd_step(args) -> int:
             raise InconsistentTraceError(f"malformed trace: {exc}") from exc
     trace = spuriousness.parse_trace(raw_trace, ast, db)
     report = spuriousness.step_verify(ast, server, db, mismatches, trace, combination)
-    agreement = _oracle_agreement(report, ast, db) if args.oracle else None
+    agreement = None
+    if args.oracle:
+        prefix = [(qid, None if answer is spuriousness.NO_ANSWER else answer)
+                  for qid, answer, _ in trace]
+        agreement = _oracle_agreement(report, ast, db, prefix)
     _emit_report(report, args.format, sys.stdout, agreement)
     return EXIT_FINDINGS if report.has_realizable() else EXIT_CLEAN
 

@@ -9,15 +9,30 @@ against.
 A query whose answer set is empty (or that the server cannot interpret
 at all) binds its fresh variables to null and execution continues.
 
-Neither the database nor the protocol changes during a search, so one
-search derives each class's extent once and computes a query's answers
-once per state of the variables the query reads. Nothing is kept between
-searches.
+A class's extent depends only on the database, and a query's answers
+only on the query, the database and the state of the variables the query
+reads, so both stay valid across searches over one protocol and one
+database. They are kept in a ``Memo`` made for that pair and held by the
+caller: a caller that runs several searches (one per conflict of a call)
+passes one memo to each, and each extent and each answer set is derived
+once. Without a memo a search makes a fresh one. The step bound is per
+search either way.
+
+A search may start from a conversation ``prefix``: (query id, answer)
+entries, an answer being a dict over the query's output variables or
+None for an unanswered query. The search replays the prefix before it
+branches: each query the protocol runs takes the next entry's answer as
+given (None nulls its unbound output variables), and each branch is
+evaluated on the bindings. An execution in which a query other than the
+one the next entry names runs does not agree with the prefix and is
+dropped. A replayed query counts toward the bound like any other, and a
+target the replay arrives at is reached.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import BoundExceededError
@@ -74,6 +89,20 @@ def _extent_rows(db: Database, class_name: str):
                 seen.add(key)
                 rows.append({a: d[a] for a in attrs})
     return rows
+
+
+class Memo:
+    """The work that searches over one protocol and one database share:
+    class extents by class name, the variables each query reads, and
+    each query's answer options by its id and read state (see
+    ``_search``)."""
+
+    def __init__(self, p: ProtocolAst, db: Database):
+        self.protocol = p
+        self.db = db
+        self.extents: dict[str, list | None] = {}
+        self.reads: dict[int, tuple[str, ...]] = {}
+        self.options: dict[tuple, list] = {}
 
 
 def _answers(q: Query, env: dict, db: Database, extents: dict):
@@ -146,13 +175,14 @@ def enumerate_reaching_traces(p: ProtocolAst, db: Database, target: int,
 
 
 def _search(p: ProtocolAst, db: Database, target: int, bound: int,
-            first_only: bool) -> OracleResult:
+            first_only: bool, memo: Memo | None = None,
+            prefix: Sequence[tuple[int, dict | None]] = ()) -> OracleResult:
     """Depth-first enumeration with an explicit stack, so protocol length
     is bounded by memory rather than by the recursion limit.
 
     The statements still to run form a linked list ``(statement, rest)``,
     so entering a branch arm shares the continuation behind it. The
-    bindings, answers and branch outcomes of the current prefix are
+    bindings, answers and branch outcomes of the current execution are
     mutated in place and undone when the search backs out of a choice.
     With ``first_only`` the search stops at the first arrival.
 
@@ -160,18 +190,25 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
     variable it reads (its output and where-clause variables): unbound, or
     bound to a value of a given type, since ``1 == 1.0``. Presence matters
     because the no-answer option nulls only the unbound output variables.
-    Every execution still counts as a step.
+    Every execution still counts as a step. The memo belongs to ``p`` and
+    ``db``; one made for another pair raises ValueError.
+
+    While fewer answers are recorded than the prefix holds, the next
+    query replays the prefix entry at that position instead of choosing.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
+    if memo is None:
+        memo = Memo(p, db)
+    elif memo.protocol is not p or memo.db is not db:
+        raise ValueError("the memo belongs to another protocol or database")
+    prefix = tuple(prefix)
     traces: list[Trace] = []
     steps = 0
     env: dict[str, object] = {}
     entries: list[tuple[int, tuple | None]] = []
     branches: list[tuple[int, bool]] = []
-    extents: dict[str, list | None] = {}
-    reads: dict[int, tuple[str, ...]] = {}
-    options_memo: dict[tuple, list] = {}
+    extents, reads, options_memo = memo.extents, memo.reads, memo.options
     # Tasks: (_RUN, continuation), (_CHOOSE, query id, options, index,
     # continuation, saved bindings), or (_LEAVE_BRANCH,).
     stack: list[tuple] = [(_RUN, _chain(p.statements, None))]
@@ -212,22 +249,28 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
                 steps += 1
                 if steps > bound:
                     return OracleResult(tuple(traces), True)
-                names = reads.get(st.id)
-                if names is None:
-                    where_vars = set().union(*(c.variables() for c in st.where))
-                    names = reads[st.id] = tuple(where_vars.union(st.output_variables()))
-                key = (st.id, tuple((type(env[v]), env[v]) if v in env else _MISSING
-                                    for v in names))
-                options = options_memo.get(key)
-                if options is None:
-                    out_vars = st.output_variables()
-                    answers = _answers(st, env, db, extents)
-                    if answers:
-                        options = [(tuple(a[v] for v in out_vars), a) for a in answers]
-                    else:
-                        # No answer: the fresh variables come back null.
-                        options = [(None, {v: None for v in out_vars if v not in env})]
-                    options_memo[key] = options
+                if len(entries) < len(prefix):
+                    qid, answer = prefix[len(entries)]
+                    if qid != st.id:
+                        continue  # this execution leaves the prefix
+                    options = [_given(st, answer, env)]
+                else:
+                    names = reads.get(st.id)
+                    if names is None:
+                        where_vars = set().union(*(c.variables() for c in st.where))
+                        names = reads[st.id] = tuple(
+                            where_vars.union(st.output_variables()))
+                    key = (st.id, tuple((type(env[v]), env[v]) if v in env else _MISSING
+                                        for v in names))
+                    options = options_memo.get(key)
+                    if options is None:
+                        out_vars = st.output_variables()
+                        answers = _answers(st, env, db, extents)
+                        if answers:
+                            options = [(tuple(a[v] for v in out_vars), a) for a in answers]
+                        else:
+                            options = [_given(st, None, env)]
+                        options_memo[key] = options
                 saved = {v: env.get(v, _MISSING) for v in options[0][1]}
                 stack.append((_CHOOSE, st.id, options, 0, rest, saved))
             elif isinstance(st, Branch):
@@ -239,6 +282,16 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
             elif isinstance(st, Action):
                 stack.append((_RUN, rest))
     return OracleResult(tuple(traces), False)
+
+
+def _given(q: Query, answer: dict | None, env: dict) -> tuple:
+    """The option of a query that receives ``answer``: its entry and its
+    assignment. With no answer the unbound output variables come back
+    null."""
+    out_vars = q.output_variables()
+    if answer is None:
+        return None, {v: None for v in out_vars if v not in env}
+    return tuple(answer[v] for v in out_vars), {v: answer[v] for v in out_vars}
 
 
 def _chain(stmts, rest):
@@ -253,10 +306,11 @@ _MISSING = object()
 
 
 def is_reachable(p: ProtocolAst, db: Database, target: int,
-                 bound: int = DEFAULT_BOUND) -> bool:
-    """True iff at least one execution reaches the target query; the
-    search stops at the first arrival."""
-    result = _search(p, db, target, bound, first_only=True)
+                 bound: int = DEFAULT_BOUND, memo: Memo | None = None,
+                 prefix: Sequence[tuple[int, dict | None]] = ()) -> bool:
+    """True iff at least one execution that agrees with the prefix
+    reaches the target query; the search stops at the first arrival."""
+    result = _search(p, db, target, bound, first_only=True, memo=memo, prefix=prefix)
     if result.truncated and not result.traces:
         raise BoundExceededError(
             f"enumeration bound {bound} exceeded before reaching query {target}"

@@ -78,9 +78,6 @@ class Relation:
     def sorted_rows(self) -> list[tuple]:
         return sorted(self.rows, key=lambda r: tuple(values.sort_key(v) for v in r))
 
-    def is_empty(self) -> bool:
-        return not self.rows
-
 
 def _check_schema(columns, tags, name):
     if len(columns) != len(set(columns)):
@@ -91,12 +88,6 @@ def _check_schema(columns, tags, name):
 
 def relation(name, columns, tags, rows) -> Relation:
     return Relation(tuple(columns), tuple(tags), frozenset(tuple(r) for r in rows), name)
-
-
-def canonical_rows(r: Relation) -> frozenset[tuple]:
-    """Rows with columns sorted by name; for order-insensitive comparison."""
-    order = sorted(range(len(r.columns)), key=lambda i: r.columns[i])
-    return frozenset(tuple(row[i] for i in order) for row in r.rows)
 
 
 # --- algebra ---
@@ -192,12 +183,6 @@ class Database:
         self.property_tags = dict(property_tags)
         self.extents: dict[str, Relation] = {}
         self.indexes: dict[tuple[str, str], dict[object, frozenset[tuple]]] = {}
-
-    def with_tables(self, tables: dict[str, Relation]) -> "Database":
-        """Copy with some tables replaced; used by deletion experiments."""
-        merged = dict(self.tables)
-        merged.update(tables)
-        return Database(merged, self.ontology, self.property_tags)
 
 
 def load_database(source_dir, server: OntologyGraph) -> Database:

@@ -4,7 +4,7 @@ import pytest
 
 from protoverify.ontology import load_ontology
 from protoverify.protocol import parse_protocol
-from protoverify.relstore import load_database
+from protoverify.relstore import Database, Relation, load_database
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -22,6 +22,18 @@ def pytest_terminal_summary(terminalreporter):
 
 def read_protocol(name):
     return (FIXTURES / name).read_text()
+
+
+def canonical_rows(r: Relation) -> frozenset[tuple]:
+    """Rows with columns sorted by name; for order-insensitive comparison."""
+    order = sorted(range(len(r.columns)), key=lambda i: r.columns[i])
+    return frozenset(tuple(row[i] for i in order) for row in r.rows)
+
+
+def with_tables(db: Database, tables: dict[str, Relation]) -> Database:
+    """A new database with some tables replaced; its extents and indexes
+    are built afresh."""
+    return Database({**db.tables, **tables}, db.ontology, db.property_tags)
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,13 @@ import random
 import time
 
 import conftest
+from conftest import canonical_rows, with_tables
 
 from protoverify.consistency import check_consistency
 from protoverify.oracle import _answers, is_reachable
 from protoverify.protocol import Query, eval_condition
 from protoverify.relstore import (
     Relation,
-    canonical_rows,
     extent_tables,
     natural_join,
     project,
@@ -322,7 +322,7 @@ def _delete_matching(db, attr_values):
             )
         )
         tables[name] = Relation(t.columns, t.tags, keep, t.name)
-    return db.with_tables(tables)
+    return with_tables(db, tables)
 
 
 @_criterion(9, "row deletion is monotone toward spurious")
@@ -360,7 +360,8 @@ def test_criterion_9_monotonicity():
                 needed |= cond.variables()
         doomed = _chain_tables(inst, needed)
         assert doomed
-        emptied = inst.db.with_tables(
+        emptied = with_tables(
+            inst.db,
             {
                 name: Relation(
                     inst.db.tables[name].columns,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from protoverify import cli
+from protoverify import cli, oracle
 from protoverify.cli import main
 from protoverify.protocol import MAX_NESTING
 
@@ -268,6 +268,59 @@ def test_step_pruned_branch_exit_zero(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out) == []
+
+
+def test_step_oracle_replays_the_trace_prefix(capsys, tmp_path):
+    """Query 1 answers an author who wrote no Book, so query 3 is
+    spurious after this prefix although the database alone can reach it;
+    the oracle searches from the prefix and agrees."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([
+        {"queryId": 1, "answer": {"t1": "ManualName", "a": "Nobody", "d1": "1973-01-01"}},
+    ]))
+    code, out, err = run(
+        capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+        "--db", DB_REALIZABLE, "--oracle", "--trace", str(trace),
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "query 3: spurious (assignable set emptied at ['t2']) [oracle agrees: True]\n"
+    )
+    # Without the prefix the database reaches query 3.
+    trace.write_text("[]")
+    _code, out, _err = run(
+        capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+        "--db", DB_REALIZABLE, "--oracle", "--trace", str(trace),
+    )
+    assert out.startswith("query 3: realizable") and "[oracle agrees: True]" in out
+
+
+THREE_CONFLICTS = (
+    "get (title: t1, author: a) from Book;\n"
+    "get (title: t2, date: d) from Book.Proceedings where (t2 = t1);\n"
+    "if (t1 != null) { get (title: t3) from Book.Proceedings; }\n"
+    "get (title: t4, author: a) from Book.Proceedings;\n"
+)
+
+
+def test_verify_db_oracle_derives_each_extent_once(capsys, tmp_path, monkeypatch):
+    """The oracle's searches for one call's three conflicts share one
+    memo, so each class extent is derived at most once in the call."""
+    derived = []
+    real = oracle._extent_rows
+    monkeypatch.setattr(oracle, "_extent_rows", lambda db, class_name: (
+        derived.append(class_name), real(db, class_name))[1])
+    protocol = tmp_path / "three.pv"
+    protocol.write_text(THREE_CONFLICTS)
+    code, out, _err = run(
+        capsys, "verify-db", "--server", PUB_SERVER, "--protocol", str(protocol),
+        "--db", DB_REALIZABLE, "--oracle", "--format", "json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert [e["queryId"] for e in payload] == [2, 3, 4]
+    assert all(e["oracleAgrees"] is True for e in payload)
+    assert sorted(derived) == sorted(set(derived)) == ["Book", "Proceedings"]
 
 
 def test_step_inconsistent_trace_exit_two(capsys, tmp_path):
@@ -727,6 +780,10 @@ def test_calls_leave_no_protoverify_cycles(capsys, tmp_path):
         ("step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
          "--db", DB_REALIZABLE, "--trace", str(trace)),
         ("parse", "--protocol", PROTOCOL1, "--format", "json"),
+        ("verify-db", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_REALIZABLE, "--oracle"),
+        ("step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+         "--db", DB_REALIZABLE, "--trace", str(trace), "--oracle"),
     ]
     for argv in calls:
         gc.collect()

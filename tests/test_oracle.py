@@ -153,8 +153,8 @@ def _memo_database(rng: random.Random) -> Database:
     return Database(tables, server, tags)
 
 
-def _digest_cases():
-    for seed in range(120):
+def _digest_cases(seeds=120):
+    for seed in range(seeds):
         inst = make_instance(random.Random(seed), force_branch=seed % 2 == 1)
         yield inst.ast, inst.db
     for text in MEMO_PROTOCOLS:
@@ -229,3 +229,102 @@ def test_search_builds_each_extent_and_answer_set_once(monkeypatch):
                 enumerate_reaching_traces(ast, db, q.id)
                 assert len(extent_calls) == len(set(extent_calls))
                 assert len(answer_keys) == len(set(answer_keys))
+
+
+def test_shared_memo_matches_fresh_memos():
+    """Searches that share one memo, over every query and bound in turn,
+    give each search the outcome or exception of a search with its own."""
+    for ast, db in _digest_cases(400):
+        memo = oracle.Memo(ast, db)
+        for bound in (1, 2, 3, 4, 5, 10**6):
+            for q in ast.queries():
+                shared = _outcome(lambda: is_reachable(ast, db, q.id, bound, memo=memo))
+                assert shared == _outcome(lambda: is_reachable(ast, db, q.id, bound))
+
+
+def test_shared_memo_derives_each_extent_and_answer_set_once(monkeypatch):
+    """Across the searches that share a memo, every class extent is
+    derived once and a query's answers are computed once per state of
+    the variables it reads."""
+    extent_calls, answer_keys = [], []
+    real_extent, real_answers = oracle._extent_rows, oracle._answers
+    monkeypatch.setattr(oracle, "_extent_rows", lambda db, class_name: (
+        extent_calls.append(class_name), real_extent(db, class_name))[1])
+    monkeypatch.setattr(oracle, "_answers", lambda q, env, *rest: (
+        answer_keys.append(_read_state(q, env)), real_answers(q, env, *rest))[1])
+    for text in MEMO_PROTOCOLS:
+        ast = parse_protocol(text)
+        for seed in range(30):
+            db = _memo_database(random.Random(seed))
+            memo = oracle.Memo(ast, db)
+            extent_calls.clear()
+            answer_keys.clear()
+            for q in ast.queries():
+                for bound in (3, 10**6):
+                    _outcome(lambda: is_reachable(ast, db, q.id, bound, memo=memo))
+            assert len(extent_calls) == len(set(extent_calls))
+            assert len(answer_keys) == len(set(answer_keys))
+
+
+def test_memo_of_another_protocol_or_database_is_refused(protocol1, pub_db_spurious,
+                                                         pub_db_realizable):
+    memo = oracle.Memo(protocol1, pub_db_spurious)
+    assert not is_reachable(protocol1, pub_db_spurious, 3, memo=memo)
+    other = parse_protocol("get (title: t) from Book;")
+    with pytest.raises(ValueError, match="memo"):
+        is_reachable(other, pub_db_spurious, 1, memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        is_reachable(protocol1, pub_db_realizable, 3, memo=memo)
+
+
+def test_prefix_search_matches_enumerated_executions():
+    """A search from a prefix reaches the target iff some reaching
+    execution agrees with the prefix: it extends the prefix, or arrives
+    at the target while the prefix is still being replayed. The prefixes
+    are cut from the first two reaching executions of each query."""
+    checked = reached = 0
+    for ast, db in _digest_cases(400):
+        out_vars = {q.id: q.output_variables() for q in ast.queries()}
+        executions = {}
+        for q in ast.queries():
+            result = enumerate_reaching_traces(ast, db, q.id)
+            assert not result.truncated
+            executions[q.id] = [
+                tuple((qid, None if ans is None else dict(zip(out_vars[qid], ans)))
+                      for qid, ans in t.entries)
+                for t in result.traces
+            ]
+        prefixes = {repr(e[:n]): e[:n] for runs in executions.values()
+                    for e in runs[:2] for n in range(len(e) + 1)}
+        memo = oracle.Memo(ast, db)
+        for prefix in prefixes.values():
+            for q in ast.queries():
+                expected = any(e[:len(prefix)] == prefix[:len(e)] for e in executions[q.id])
+                assert is_reachable(ast, db, q.id, memo=memo, prefix=prefix) == expected
+                checked += 1
+                reached += expected
+    assert 0 < reached < checked
+
+
+def test_prefix_replay_counts_toward_the_bound(protocol1, pub_db_realizable):
+    """Each replayed query is a step, so a bound of one cannot replay a
+    one-entry prefix and then run query 2."""
+    prefix = [(1, {"t1": "ManualName", "a": "Knuth", "d1": datetime.date(1973, 1, 1)})]
+    assert is_reachable(protocol1, pub_db_realizable, 2, bound=1, prefix=prefix)
+    assert is_reachable(protocol1, pub_db_realizable, 3, bound=2, prefix=prefix)
+    with pytest.raises(BoundExceededError):
+        is_reachable(protocol1, pub_db_realizable, 3, bound=1, prefix=prefix)
+
+
+def test_prefix_answer_is_taken_as_given(protocol1, pub_db_realizable):
+    """An answer the database cannot give is still replayed: an author
+    with no Book leaves query 3 unreachable, and a prefix that names
+    another query than the one that runs next is followed by no
+    execution."""
+    nobody = {"t1": "ManualName", "a": "Nobody", "d1": datetime.date(1973, 1, 1)}
+    assert is_reachable(protocol1, pub_db_realizable, 3)
+    assert not is_reachable(protocol1, pub_db_realizable, 3, prefix=[(1, nobody)])
+    assert not is_reachable(protocol1, pub_db_realizable, 2, prefix=[(2, None)])
+    # An unanswered query 1 nulls its variables, so query 2 finds no Book
+    # by a null author and the guard on t2 fails.
+    assert not is_reachable(protocol1, pub_db_realizable, 3, prefix=[(1, None)])

@@ -17,7 +17,6 @@ from protoverify.errors import (
 from protoverify.protocol import Condition, Lit, Var
 from protoverify.relstore import (
     Relation,
-    canonical_rows,
     class_extent,
     load_database,
     natural_join,
@@ -27,7 +26,7 @@ from protoverify.relstore import (
     select,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, canonical_rows, with_tables
 
 
 def rel(cols, tags, rows, name=""):
@@ -45,7 +44,7 @@ def test_join_shared_column():
 def test_join_empty_absorbing():
     r = rel(["a", "b"], ["int", "int"], [(1, 2)])
     empty = rel(["a", "b"], ["int", "int"], [])
-    assert natural_join(r, empty).is_empty()
+    assert not natural_join(r, empty).rows
 
 
 def test_join_disjoint_is_product():
@@ -200,7 +199,7 @@ def test_empty_csv_valid(tmp_path, pub_server):
     shutil.copytree(src, tmp_path / "db")
     (tmp_path / "db" / "Proceedings.csv").write_text("author,date,title\n")
     db = load_database(tmp_path / "db", pub_server)
-    assert db.tables["Proceedings"].is_empty()
+    assert not db.tables["Proceedings"].rows
 
 
 def test_bad_cell_rejected(tmp_path, pub_server):
@@ -264,7 +263,8 @@ def test_class_extent_built_once_per_database(pub_db_realizable):
     assert class_extent(pub_db_realizable, "Book") is books
     table = pub_db_realizable.tables["Book"]
     gone = next(r for r in table.rows if r[table.index("title")] == "TAOCP")
-    smaller = pub_db_realizable.with_tables(
+    smaller = with_tables(
+        pub_db_realizable,
         {"Book": Relation(table.columns, table.tags, table.rows - {gone}, "Book")}
     )
     fewer = class_extent(smaller, "Book")

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, with_tables
 from instgen import make_instance
 from test_oracle import MEMO_PROTOCOLS, _memo_database, _outcome
 from protoverify import values
@@ -59,7 +59,8 @@ def test_generate_empty_extent(protocol1, pub_db_spurious):
     empty_book = Relation(
         ("author", "title"), ("str", "str"), frozenset(), "Book"
     )
-    db = pub_db_spurious.with_tables(
+    db = with_tables(
+        pub_db_spurious,
         {
             "Book": empty_book,
             "Monograph": empty_book,
@@ -72,7 +73,7 @@ def test_generate_empty_extent(protocol1, pub_db_spurious):
         }
     )
     rel = generate_assignable_set(protocol1.query(2), db)
-    assert rel.is_empty()
+    assert not rel.rows
 
 
 def test_generate_unresolvable_class(pub_db_spurious):
@@ -90,7 +91,7 @@ def test_generate_uncovered_binding(pub_db_spurious):
 def test_generate_repeated_variable_equates(pub_db_spurious):
     p = parse_protocol("get (title: x, author: x) from Book;")
     rel = generate_assignable_set(p.query(1), pub_db_spurious)
-    assert rel.is_empty()
+    assert not rel.rows
 
 
 def test_split_assignable_set():
@@ -117,7 +118,7 @@ def test_verify_conflict_realizable(protocol1, pub_db_realizable):
     assert verdict.verdict == "realizable"
     assert verdict.witness["t2"] == "TAOCP"
     cached, _deferred = ctx.answers[2]
-    assert not cached.is_empty()
+    assert cached.rows
 
 
 def test_verify_conflict_memoizes(protocol1, pub_db_realizable):
@@ -318,7 +319,8 @@ def test_verify_all_builds_each_answer_once(
 
 def test_monotonicity_on_fixture(protocol1, pub_server, pub_db_realizable):
     ms = conflicts_for(protocol1, pub_server)
-    emptied = pub_db_realizable.with_tables(
+    emptied = with_tables(
+        pub_db_realizable,
         {
             name: Relation(t.columns, t.tags, frozenset(), t.name)
             for name, t in pub_db_realizable.tables.items()
