@@ -2,9 +2,9 @@
 
 One table per non-abstract ontology class; relations are immutable
 values with set semantics (no duplicate rows). The algebra (natural
-join, projection, selection, renaming) builds the answer relations of
-protocol queries. Selection compiles each condition once into a
-predicate over row tuples (``protocol.compile_condition``). A relation
+join, projection, selection) combines the per-class parts of protocol
+queries' answer relations. Selection compiles each condition once into
+a predicate over row tuples (``protocol.compile_condition``). A relation
 the algebra builds gets its schema checked but not the arity of every
 row, because its rows come from rows of known arity; a relation built
 directly, as loaders and callers do, gets every check.
@@ -159,11 +159,6 @@ def select(r: Relation, conds) -> Relation:
     else:
         rows = frozenset(row for row in r.rows if all(pred(row) for pred in preds))
     return Relation._derived(r.columns, r.tags, rows, r.name)
-
-
-def rename(r: Relation, mapping: dict[str, str]) -> Relation:
-    new_columns = tuple(mapping.get(c, c) for c in r.columns)
-    return Relation._derived(new_columns, r.tags, r.rows, r.name)
 
 
 # --- database ---

@@ -12,7 +12,11 @@ with null bindings, and each branch on the path must evaluate to the arm
 the path takes. States are projected onto the variables that a later
 path query or a guard still reads, keeping the smallest full row behind
 each projected state for the witness, and each query finds a state's
-answers through a hash index on the variables they share. Where
+answers through a hash index on the variables they share. Answers that
+agree on the kept new columns lead a state to one projected state, so
+each state meets only the least answer per kept part, tabled once per
+step and probe: a step costs answers + states x kept parts, not
+states x answers (``_extend`` says why that is exact). Where
 conditions over earlier variables are compiled once per extension step,
 and branch guards once per decision, into predicates over the state and
 answer tuples (``protocol.compile_condition``), so no row is turned into
@@ -44,6 +48,7 @@ from . import values
 from .errors import (
     InconsistentTraceError,
     NoExtentError,
+    SchemaError,
     TagMismatchError,
     UncoveredBindingError,
     UnresolvableClassError,
@@ -67,7 +72,6 @@ from .relstore import (
     extent_index,
     natural_join,
     project,
-    rename,
     select,
 )
 
@@ -93,12 +97,12 @@ def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
 def generate_assignable_set(q: Query, db: Database) -> Relation:
     """The relation of tuples the evaluator could answer for a query.
 
-    Each class reference contributes its extent with bound attribute
-    columns renamed to the query's variables; everything is joined,
-    filtered by the where conditions over the query's own variables, and
-    projected onto those variables. A ``var = literal`` key lookup reads
-    only the extent rows that an index on the attribute finds for the
-    literal, when none of those where conditions can raise.
+    Each class reference contributes its extent's bound attribute
+    columns as the query's variables, read in one pass; the parts are
+    joined, filtered by the where conditions over the query's own
+    variables, and projected onto those variables. A ``var = literal``
+    key lookup reads only the extent rows that an index on the attribute
+    finds for the literal, when none of those where conditions can raise.
     """
     out_vars = list(q.output_variables())
     non_wildcard = [(attr, var) for attr, var in q.bindings if var is not None]
@@ -124,33 +128,10 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
             continue
         covered.update(var for _, var in local)
         key = next(((attr, lookups[var]) for attr, var in local if var in lookups), None)
-        if key is not None:
-            rows = extent_index(db, ext.name, key[0]).get(key[1], frozenset())
-            ext = Relation._derived(ext.columns, ext.tags, rows, ext.name)
-        part = project(ext, [attr for attr, _ in local])
-        # Two attributes bound to one variable inside a single class act
-        # as an equality constraint; nulls never satisfy it.
-        by_var: dict[str, list[str]] = {}
-        for attr, var in local:
-            by_var.setdefault(var, []).append(attr)
-        keep_attr: dict[str, str] = {}
-        filtered_rows = part.rows
-        for var, attrs in by_var.items():
-            keep_attr[var] = attrs[0]
-            if len(attrs) > 1:
-                idxs = [part.index(a) for a in attrs]
-                filtered_rows = frozenset(
-                    row
-                    for row in filtered_rows
-                    if all(
-                        row[idxs[0]] is not None and row[i] == row[idxs[0]]
-                        for i in idxs[1:]
-                    )
-                )
-        part = Relation._derived(part.columns, part.tags, filtered_rows, part.name)
-        part = project(part, [keep_attr[var] for var in keep_attr])
-        part = rename(part, {attr: var for var, attr in keep_attr.items()})
-        parts.append(part)
+        rows = ext.rows if key is None else (
+            extent_index(db, ext.name, key[0]).get(key[1], frozenset())
+        )
+        parts.append(_class_part(ext, local, rows))
 
     missing = [var for _, var in non_wildcard if var not in covered]
     if missing:
@@ -164,6 +145,30 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
         t = natural_join(t, part)
     applicable = [c for c in q.where if c.variables() <= set(t.columns)]
     return project(select(t, applicable), out_vars)
+
+
+def _class_part(ext: Relation, local, rows) -> Relation:
+    """One class reference's rows over its variables, in one pass over
+    ``rows`` (the extent's, or those a key lookup found). Two attributes
+    bound to one variable inside a single class act as an equality
+    constraint; nulls never satisfy it."""
+    attrs = [attr for attr, _ in local]
+    if len(set(attrs)) != len(attrs):
+        raise SchemaError(f"duplicate column in relation {ext.name!r}")
+    positions: dict[str, list[int]] = {}
+    for attr, var in local:
+        positions.setdefault(var, []).append(ext.index(attr))
+    firsts = [idxs[0] for idxs in positions.values()]
+    equal = [(idxs[0], i) for idxs in positions.values() for i in idxs[1:]]
+    if equal:
+        rows = [row for row in rows
+                if all(row[f] is not None and row[i] == row[f] for f, i in equal)]
+    if len(firsts) > 1:
+        out = frozenset(map(operator.itemgetter(*firsts), rows))
+    else:
+        out = frozenset((row[firsts[0]],) for row in rows)
+    tags = tuple(ext.tags[i] for i in firsts)
+    return Relation._derived(tuple(positions), tags, out, ext.name)
 
 
 def _key_lookups(q: Query, db: Database) -> dict[str, object]:
@@ -393,6 +398,20 @@ def _extend(states: ReachingStates, q: Query, fresh: tuple[str, ...],
     conditions; a state with no such answer continues with the
     ``fresh`` variables null, mirroring the evaluator's no-answer
     semantics, so there is always at least one state.
+
+    ``keep`` lists the kept live columns, then the kept fresh ones, each
+    in its own order, as ``_reaching_states`` builds it. A next key is
+    then the state's kept live values followed by the extension's kept
+    fresh values, its kept part. Extensions of one state with one kept
+    part give one next key, and the least extended row among them is
+    the row extended by the least of them: min(sk + esk) = sk + min(esk).
+    So each state meets only the least extension per kept part. Without
+    deferred conditions a state's extensions depend only on its probe,
+    and that least extension is tabled once per probed bucket: the step
+    costs answers + states x kept parts, not states x answers. Deferred
+    conditions read the state, so those steps filter per state and
+    reduce the survivors by the same rule. Either way an extension's
+    sort key is computed once per step.
     """
     answers, deferred = _answers(q, ctx, db)
     a_cols = answers.columns
@@ -404,31 +423,59 @@ def _extend(states: ReachingStates, q: Query, fresh: tuple[str, ...],
         probe = tuple(arow[i] for i in shared)
         if None not in probe:
             buckets.setdefault(probe, []).append(arow)
-    wide_cols = states.live + fresh
-    keep_at = [wide_cols.index(v) for v in keep]
+    live_at = [j for j, v in enumerate(states.live) if v in keep]
+    part_at = [j for j, v in enumerate(fresh) if v in keep]
+    sort_keys: dict[tuple, tuple] = {}
     # Deferred conditions read the state's key and the answer row.
     where = [compile_condition(c, states.live + a_cols) for c in deferred]
+    # Without them, a state's candidates depend only on its probe.
+    table: dict[tuple, list[tuple]] = {}
+    null: list[tuple] = []
     next_states: dict[tuple, tuple[tuple, tuple]] = {}
     for key, (sort_key, row) in states.smallest.items():
         probe = tuple(key[j] for j in probe_at)
-        extensions: set[tuple] = set()
-        if None not in probe:
-            for arow in buckets.get(probe, ()):
-                if where:
-                    joined = key + arow
-                    if not all(pred(joined) for pred in where):
-                        continue
-                extensions.add(tuple(arow[i] for i in fresh_at))
-        if not extensions:
-            extensions.add((None,) * len(fresh_at))
-        for ext in extensions:
-            wide = key + ext
-            next_key = tuple(wide[i] for i in keep_at)
-            ext_sort_key = sort_key + _row_key(ext)
+        if None in probe:
+            candidates = []
+        elif where:
+            candidates = _least_per_part({
+                tuple(arow[i] for i in fresh_at) for arow in buckets.get(probe, ())
+                if all(pred(key + arow) for pred in where)
+            }, part_at, sort_keys)
+        else:
+            candidates = table.get(probe)
+            if candidates is None:
+                candidates = table[probe] = _least_per_part({
+                    tuple(arow[i] for i in fresh_at) for arow in buckets.get(probe, ())
+                }, part_at, sort_keys)
+        if not candidates:
+            null = null or _least_per_part({(None,) * len(fresh)}, part_at, sort_keys)
+            candidates = null
+        live_part = tuple(key[j] for j in live_at)
+        for part, ext, esk in candidates:
+            next_key = live_part + part
+            ext_sort_key = sort_key + esk
             best = next_states.get(next_key)
             if best is None or ext_sort_key < best[0]:
                 next_states[next_key] = (ext_sort_key, row + ext)
     return ReachingStates(states.columns + fresh, keep, next_states)
+
+
+def _least_per_part(extensions, part_at, sort_keys) -> list[tuple]:
+    """(kept part, extension, sort key) of the least extension per kept
+    part. Distinct ints past 2**53 can share a sort key; such a tie goes
+    to the extension met first in ``extensions``, a set built in bucket
+    order, as a walk over every extension of every state resolves it.
+    ``sort_keys`` holds the sort keys the step has computed."""
+    least: dict[tuple, tuple] = {}
+    for ext in extensions:
+        esk = sort_keys.get(ext)
+        if esk is None:
+            esk = sort_keys[ext] = _row_key(ext)
+        part = tuple(ext[i] for i in part_at)
+        best = least.get(part)
+        if best is None or esk < best[2]:
+            least[part] = (part, ext, esk)
+    return list(least.values())
 
 
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
@@ -519,11 +566,13 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
 
 def parse_trace(raw, p: ProtocolAst, db: Database):
     """Decode a JSON trace (list of {queryId, answer, branch?} entries)
-    into the internal (queryId, answer-dict | NO_ANSWER, decisions) form."""
+    into the internal (queryId, answer-dict | NO_ANSWER, decisions) form.
+    A decision must name a branch of the protocol."""
     if not isinstance(raw, list):
         raise InconsistentTraceError("trace must be a list of entries")
+    branch_ids = {branch.id for branch in p.branches()}
     entries = []
-    for item in raw:
+    for index, item in enumerate(raw):
         if not isinstance(item, dict) or "queryId" not in item:
             raise InconsistentTraceError("trace entry must be an object with a queryId")
         qid = item["queryId"]
@@ -563,6 +612,12 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
                 f"trace entry for query {qid}: 'branch' must be an object, or "
                 f"a list of objects, with an integer 'index' and a boolean 'taken'"
             )
+        for d in decisions:
+            if d["index"] not in branch_ids:
+                raise InconsistentTraceError(
+                    f"trace entry {index} decides branch {d['index']}, "
+                    f"which the protocol does not have"
+                )
         entries.append((qid, answer, [(d["index"], d["taken"]) for d in decisions]))
     return entries
 

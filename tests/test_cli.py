@@ -461,6 +461,35 @@ def test_check_protocol2(capsys):
     ]
 
 
+def test_step_decision_for_missing_branch_exit_two(capsys, tmp_path):
+    """protocol1 has one branch; a decision for branch 9 is an error
+    that names the branch and the trace entry, not a decision ignored."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(
+        [{"queryId": 1, "answer": None, "branch": {"index": 9, "taken": True}}]
+    ))
+    code, out, err = run(
+        capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+        "--db", DB_REALIZABLE, "--trace", str(trace),
+    )
+    assert (code, out) == (2, "")
+    assert "trace entry 0 decides branch 9" in err
+
+
+def test_verify_db_duplicate_attribute_exit_two(capsys, tmp_path):
+    protocol = tmp_path / "dup.pv"
+    protocol.write_text(
+        "get (title: x, title: y) from Book;\n"
+        "if (x != null) { get (title: c) from Book.Proceedings; }\n"
+    )
+    code, out, err = run(
+        capsys, "verify-db", "--server", PUB_SERVER, "--protocol", str(protocol),
+        "--db", DB_REALIZABLE,
+    )
+    assert (code, out) == (2, "")
+    assert "duplicate column in relation 'Book'" in err
+
+
 def test_step_branch_without_index_exit_two(capsys, tmp_path):
     trace = tmp_path / "trace.json"
     trace.write_text(

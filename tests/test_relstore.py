@@ -22,7 +22,6 @@ from protoverify.relstore import (
     natural_join,
     project,
     relation,
-    rename,
     select,
 )
 
@@ -136,13 +135,6 @@ def test_select_date_field():
     assert out.rows == frozenset({(datetime.date(2005, 1, 1),)})
 
 
-def test_rename():
-    r = rel(["a", "b"], ["int", "str"], [(1, "x")])
-    out = rename(r, {"a": "z"})
-    assert out.columns == ("z", "b")
-    assert out.rows == r.rows
-
-
 def test_relation_invariants():
     with pytest.raises(SchemaError):
         Relation(("a", "a"), ("int", "int"), frozenset())
@@ -152,8 +144,6 @@ def test_relation_invariants():
 
 def test_algebra_results_keep_schema_checks():
     r = relation("r", ["a", "b"], ["int", "int"], [(1, 2)])
-    with pytest.raises(SchemaError):
-        rename(r, {"a": "b"})
     with pytest.raises(SchemaError):
         project(r, ["a", "a"])
 

@@ -768,3 +768,166 @@ def test_engine_outcomes_match_golden_digest():
                     p, server, db, conflicts, parse_trace(raw, p, db), combination,
                 )).encode())
     assert h.hexdigest() == ENGINE_DIGEST
+
+
+# --- least extension per kept part ---
+
+def _product_extend(states, q, fresh, keep, ctx, db):
+    """Reference for ``_extend``: every state paired with every answer
+    row of its bucket, with a sort key built for each pair."""
+    answers, deferred = spuriousness._answers(q, ctx, db)
+    a_cols = answers.columns
+    shared = [i for i, v in enumerate(a_cols) if v not in fresh]
+    fresh_at = [i for i, v in enumerate(a_cols) if v in fresh]
+    probe_at = [states.live.index(a_cols[i]) for i in shared]
+    buckets = {}
+    for arow in answers.rows:
+        probe = tuple(arow[i] for i in shared)
+        if None not in probe:
+            buckets.setdefault(probe, []).append(arow)
+    wide_cols = states.live + fresh
+    keep_at = [wide_cols.index(v) for v in keep]
+    where = [protocol.compile_condition(c, states.live + a_cols) for c in deferred]
+    next_states = {}
+    for key, (sort_key, row) in states.smallest.items():
+        probe = tuple(key[j] for j in probe_at)
+        extensions = set()
+        if None not in probe:
+            for arow in buckets.get(probe, ()):
+                if where and not all(pred(key + arow) for pred in where):
+                    continue
+                extensions.add(tuple(arow[i] for i in fresh_at))
+        if not extensions:
+            extensions.add((None,) * len(fresh_at))
+        for ext in extensions:
+            wide = key + ext
+            next_key = tuple(wide[i] for i in keep_at)
+            ext_sort_key = sort_key + tuple(values.sort_key(v) for v in ext)
+            best = next_states.get(next_key)
+            if best is None or ext_sort_key < best[0]:
+                next_states[next_key] = (ext_sort_key, row + ext)
+    return spuriousness.ReachingStates(states.columns + fresh, keep, next_states)
+
+
+# Deferred where-conditions over earlier variables, over a table whose
+# a2 column holds two ints past 2**53 with one sort key between them. With
+# these rows, resolving such a tie in bucket order instead of set order
+# changes the states of three of the four steps.
+BIG = 2**53 + 4
+TIE_PROTOCOL = (
+    "get (a1: x, a2: y) from T;\n"
+    "get (a1: u, a2: w) from T where (u >= x) (w != y);\n"
+    "if (x = 1) { get (ghost: g) from Missing; }\n"
+    "get (a1: z) from T where (z < u);\n"
+    "if (z != null) { get (ghost: h) from Missing; }\n"
+)
+
+
+def _tie_database():
+    server = parse_ontology({"classes": [{"name": "T", "dataProperties": ["a1", "a2"]}]})
+    rows = frozenset({(1, BIG), (1, BIG + 1), (2, BIG + 1), (2, 5), (3, BIG), (None, 4),
+                      (10, 0)})
+    return Database({"T": Relation(("a1", "a2"), ("int", "int"), rows, "T")},
+                    server, {"a1": "int", "a2": "int"})
+
+
+def _states_or_error(extend, *args):
+    try:
+        got = extend(*args)
+    except Exception as exc:  # the error is part of the step's outcome
+        return f"{type(exc).__name__}: {exc}"
+    return got.columns, got.live, list(got.smallest.items())
+
+
+def test_extension_step_matches_the_product_reference(monkeypatch):
+    """Each step's states (keys in order, sort keys and rows), or the
+    error it raises, are those of pairing every state with every answer
+    of its bucket."""
+    real = spuriousness._extend
+    seen = {"steps": 0, "deferred": 0}
+    mismatched = []
+
+    def compare(*args):
+        got = _states_or_error(real, *args)
+        if got != _states_or_error(_product_extend, *args):
+            mismatched.append((args[1], got))
+        _states, q, _fresh, _keep, ctx, _db = args
+        seen["steps"] += 1
+        seen["deferred"] += bool(ctx.answers.get(q.id, (None, ()))[1])
+        return real(*args)
+
+    monkeypatch.setattr(spuriousness, "_extend", compare)
+    cases = []
+    for seed in range(400):
+        inst = make_instance(random.Random(seed), force_branch=seed % 2 == 1)
+        cases.append((inst.server, inst.ast, inst.db))
+    server, long_shaped, long_db = long_shaped_instance()
+    cases.append((server, long_shaped, long_db))
+    tie_db = _tie_database()
+    cases.append((tie_db.ontology, parse_protocol(TIE_PROTOCOL), tie_db))
+    for text in MEMO_PROTOCOLS:
+        for seed in range(20):
+            db = _memo_database(random.Random(seed))
+            cases.append((db.ontology, parse_protocol(text), db))
+    for server, p, db in cases:
+        conflicts = conflicts_for(p, server)
+        for combination in (CONJUNCTION, DISJUNCTION):
+            _outcome(lambda: verify_all(p, server, db, conflicts, combination))
+    assert mismatched == []
+    assert seen["steps"] > 1000
+    assert seen["deferred"] > 100
+
+
+def deep_shaped_instance(k=4):
+    """k independent ``get (a1: xi, a2: yi) from T`` queries over 12 rows
+    (a1 = 0..5, twice each; a2 distinct), then ``if (x0 = v)`` guards
+    for v = 2 (twice present) and 9 (absent)."""
+    server = parse_ontology({"classes": [{"name": "T", "dataProperties": ["a1", "a2"]}]})
+    rows = frozenset((i // 2, 20 + 7 * i % 13) for i in range(12))
+    db = Database({"T": Relation(("a1", "a2"), ("int", "int"), rows, "T")},
+                  server, {"a1": "int", "a2": "int"})
+    text = "".join(f"get (a1: x{i}, a2: y{i}) from T;\n" for i in range(k)) + (
+        "if (x0 = 2) { get (ghost: g) from Missing; }\n"
+        "if (x0 = 9) { get (ghost: h) from Missing; }\n"
+    )
+    return server, parse_protocol(text), db, sorted(rows)
+
+
+def test_extension_work_is_answers_plus_states_times_kept_parts(monkeypatch):
+    """A step computes at most one sort key per answer row and meets each
+    state once per kept part, where pairing every state with every row
+    would take states x rows; the verdicts and the witness are the
+    closed form's."""
+    server, p, db, rows = deep_shaped_instance()
+    calls = []
+    steps = []
+    real_row_key, real_extend = spuriousness._row_key, spuriousness._extend
+
+    def counting_row_key(row):
+        calls.append(row)
+        return real_row_key(row)
+
+    def counting_extend(states, q, fresh, keep, ctx, db):
+        before = len(calls)
+        nxt = real_extend(states, q, fresh, keep, ctx, db)
+        answers = ctx.answers[q.id][0]
+        kept = [answers.columns.index(v) for v in keep if v in fresh]
+        parts = {tuple(row[i] for i in kept) for row in answers.rows}
+        steps.append((len(calls) - before, len(answers.rows), len(states.smallest), len(parts)))
+        return nxt
+
+    monkeypatch.setattr(spuriousness, "_row_key", counting_row_key)
+    monkeypatch.setattr(spuriousness, "_extend", counting_extend)
+    report = verify_all(p, server, db, conflicts_for(p, server))
+    assert len(steps) == 4
+    assert sum(n_states for _, _, n_states, _ in steps) > 4
+    for n_calls, n_rows, n_states, n_parts in steps:
+        assert n_calls <= n_rows + n_states * n_parts
+    realizable, spurious = report.entries
+    assert (realizable.verdict, spurious.verdict) == ("realizable", "spurious")
+    assert spurious.emptied_at == ("x0",)
+    least = rows[0]
+    y0 = min(a2 for a1, a2 in rows if a1 == 2)
+    assert realizable.witness == {"x0": 2, "y0": y0, **{
+        f"{c}{i}": v for i in range(1, 4) for c, v in zip("xy", least)
+    }}
