@@ -1,6 +1,7 @@
 """Tests for the protocol DSL parser and its static analyses."""
 
 import datetime
+import hashlib
 import itertools
 import random
 
@@ -10,12 +11,14 @@ from hypothesis import given, strategies as st
 from protoverify import values
 from protoverify.errors import (
     IncomparableTagsError,
+    ProtocolError,
     ProtocolSemanticError,
     ProtocolSyntaxError,
     UnknownQueryError,
 )
 from protoverify.protocol import (
     COMPARISON_OPS,
+    KEYWORDS,
     MAX_NESTING,
     Branch,
     Condition,
@@ -29,6 +32,8 @@ from protoverify.protocol import (
     parse_protocol,
     print_protocol,
 )
+
+from conftest import FIXTURES, read_protocol
 
 
 def conds_as_text(conds):
@@ -136,6 +141,11 @@ def test_nesting_bound():
          1, 30),
         ("get (a: x) from K where\n (x = " + "9" * 400 + ".5);",
          "decimal literal out of range", 2, 7),
+        ("get (a: xé) from K;", "unexpected character 'é'", 1, 10),
+        ("get (a: x) from K where (x ! 1);", "unexpected character '!'", 1, 28),
+        ("get (a: x) from K where (x = ²);", "unexpected character '²'", 1, 30),
+        ("}", "expected 'get', 'if', or 'do'", 1, 1),
+        ("get (a x) from K; @", "unexpected character '@'", 1, 19),
     ],
     ids=[
         "unexpected-after-blank-lines",
@@ -152,6 +162,11 @@ def test_nesting_bound():
         "date-month",
         "date-day",
         "decimal-overflow",
+        "non-ascii-letter",
+        "bang-without-equals",
+        "superscript-digit",
+        "top-level-close-brace",
+        "unexpected-character-wins-over-syntax",
     ],
 )
 def test_syntax_error_positions(text, message, line, column):
@@ -186,6 +201,9 @@ def test_literal_kinds():
     q = parse_protocol(text).query(1)
     lits = [c.rhs.value for c in q.where]
     assert lits == [5, 2.5, "red", datetime.date(2009, 1, 31)]
+    # ``\d`` is any Unicode decimal digit, so an Arabic-Indic three is an int.
+    q = parse_protocol("get (a: x) from K where (x = ٣);").query(1)
+    assert q.where[0].rhs == Lit(3) and type(q.where[0].rhs.value) is int
 
 
 def test_date_field_access():
@@ -466,3 +484,88 @@ def test_roundtrip_random(drawn):
     printed = print_protocol(p)
     assert print_protocol(parse_protocol(printed)) == printed
     assert len(p.queries()) == len(stmts)
+
+
+# --- parse outcomes of mutated texts ---
+
+def long_nested_protocol(rng, blocks):
+    """A valid protocol of ``blocks`` blocks: key lookups, where-clauses
+    of every literal kind, date fields, wildcards, class sequences,
+    actions, and if/else three deep."""
+    lines = []
+    counter = itertools.count(1)
+
+    def lookup(pad):
+        k, v, d = (f"{p}{next(counter)}" for p in "kvd")
+        where = f"({k} = {rng.randrange(100)})"
+        if rng.random() < 0.5:
+            where += f" ({d}.year > 19{rng.randrange(10, 99)})"
+        lines.append(f"{pad}get (id: {k}, val: {v}, date: {d}, note: *) "
+                     f"from Entity.Person where {where};")
+        return v, d
+
+    for _ in range(blocks):
+        v1, _ = lookup("")
+        v2, d2 = lookup("")
+        lines.append(f"if ({v1} != null) ({v2} < {rng.randrange(100)}.5) {{")
+        v3, _ = lookup("  ")
+        lines.append(f"  if ({d2} = 2009-0{rng.randrange(1, 10)}-15) {{")
+        lookup("    ")
+        lines.append(f"    if ({v3} >= 'x{rng.randrange(10)}') {{")
+        lines.append(f"      do Notify({v3}, 'done', null);")
+        lines.append("    }")
+        lines.append("  } else {")
+        lines.append(f"    do Log({d2}.month);")
+        lines.append("  }")
+        lines.append("} else {")
+        lookup("  ")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+MUTATION_ALPHABET = (
+    ["é", "\u0663", "²", "!", "@", "'", "\r\n", "\t", " ", "\n", "_", "x", "7"]
+    + sorted(KEYWORDS) + list(COMPARISON_OPS) + list("(){}:;,.*")
+    + ["2009-01-31", "2009-13-45", "12.5", "0.0001", "42", "'abc'", "year"]
+)
+
+
+def mutate(rng, text):
+    """The text after one to three random inserts, deletes or replaces."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+        else:
+            text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i + rng.randint(1, 4):]
+    return text
+
+
+def parse_outcome(text) -> str:
+    """The printed AST, or the error's class, message and position."""
+    try:
+        return print_protocol(parse_protocol(text))
+    except ProtocolSyntaxError as exc:
+        return f"{type(exc).__name__}|{exc}|{exc.line}|{exc.column}"
+    except ProtocolError as exc:
+        return f"{type(exc).__name__}|{exc}"
+
+
+PARSE_DIGEST = "5b6296eecda0de9fbbd82db0929248fb87b1da90dce7448ecc85a14b04cae26c"
+
+
+def test_parse_outcomes_match_golden_digest():
+    """The outcome of parsing each of 5,200 seeded mutations of the
+    fixture protocols and of a long nested protocol."""
+    sources = [read_protocol(p.name) for p in sorted(FIXTURES.glob("*.pv"))]
+    sources.append(long_nested_protocol(random.Random(1), 3))
+    rng = random.Random(19)
+    h = hashlib.sha256()
+    for _ in range(1300):
+        for source in sources:
+            h.update(parse_outcome(mutate(rng, source)).encode())
+            h.update(b"\0")
+    assert h.hexdigest() == PARSE_DIGEST
