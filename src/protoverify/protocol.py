@@ -12,6 +12,11 @@ Surface syntax::
 
 Adjacent conditions form a conjunction. ``do Name(args...);`` declares an
 opaque external action. Branching is structured if/else only.
+
+The lexer is one ``findall`` that yields the token texts, and the parser
+reads each token's kind from its text. No offsets are kept: a syntax
+error scans the text again to find the offset, line and column of the
+token it reports.
 """
 
 from __future__ import annotations
@@ -242,20 +247,27 @@ class ProtocolAst:
 
 # --- lexer ---
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<DATE>\d{4}-\d{2}-\d{2})
-  | (?P<DECIMAL>\d+\.\d+)
-  | (?P<INT>\d+)
-  | (?P<STRING>'[^'\n]*')
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP><=|>=|!=|=|<|>)
-  | (?P<PUNCT>[(){}:;,.*])
-  | (?P<ERROR>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# One alternative per token kind, in the order tried. Alternatives that
+# start with different characters cannot compete, so the common kinds
+# come first; where two do compete the longer comes first (``<=`` before
+# ``<``, a date before a decimal before an int). No alternative matches
+# whitespace, so ``findall`` skips it while searching for the next token.
+_TOKEN_KINDS = r"""
+    [A-Za-z_][A-Za-z0-9_]*   # name
+  | [(){}:;,.*]              # punctuation
+  | [<>!]=|[=<>]             # comparison operator
+  | '[^'\n]*'                # string
+  | \d{4}-\d{2}-\d{2}        # date
+  | \d+\.\d+                 # decimal
+  | \d+                      # int
+"""
+
+# The token kinds, then any other non-space character as a token of its
+# own, which the lexer rejects: a token that ``_KIND_RE`` does not match.
+_TOKEN_RE = re.compile(_TOKEN_KINDS + r"| \S", re.VERBOSE)
+_KIND_RE = re.compile(_TOKEN_KINDS, re.VERBOSE)
+
+_OPERATORS = frozenset(COMPARISON_OPS)
 
 
 def _syntax_error(text: str, offset: int, message: str) -> ProtocolSyntaxError:
@@ -265,23 +277,48 @@ def _syntax_error(text: str, offset: int, message: str) -> ProtocolSyntaxError:
     return ProtocolSyntaxError(message, line, column)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, ending with an EOF token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
-        if kind == "ERROR":
-            raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("EOF", "", len(text)))
+def _token_offset(text: str, index: int) -> int:
+    """The offset of the index-th token of ``_tokenize(text)``, found by
+    scanning again with the same pattern; the end-of-input token is at
+    ``len(text)``."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            return m.start()
+    return len(text)
+
+
+def _tokenize(text: str) -> list[str]:
+    """The text of each token, from one ``findall``, then ``""`` for the
+    end of input.
+
+    Only a one-character token can be a character that no token kind
+    matches, so only the distinct one-character tokens are checked.
+    Offsets are not kept: the error path finds the one it reports with
+    ``_token_offset``.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    bad = {t for t in set(tokens) if len(t) == 1 and not _KIND_RE.match(t)}
+    if bad:
+        index = next(i for i, t in enumerate(tokens) if t in bad)
+        raise _syntax_error(
+            text, _token_offset(text, index), f"unexpected character {tokens[index]!r}"
+        )
+    tokens.append("")
     return tokens
 
 
 # --- parser ---
 
 class _Parser:
+    """Recursive descent over token texts.
+
+    A token's kind is read from its text: a name is an identifier (it
+    starts with an ASCII letter or ``_``), a number starts with a digit
+    (a date has a ``-``, a decimal a ``.``), a string starts with ``'``,
+    and the end of input is ``""``. Every other token is an operator or
+    punctuation and stands for itself.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -290,99 +327,81 @@ class _Parser:
         self.next_branch_id = 1
         self.depth = 0  # blocks enclosing the current statement
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message, tok=None):
-        offset = (tok or self.peek())[2]
+    def error(self, message, index=None):
+        """Raise the error at a token, by default the current one."""
+        offset = _token_offset(self.text, self.pos if index is None else index)
         raise _syntax_error(self.text, offset, message)
 
-    def expect(self, kind, text=None) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}")
-        return self.advance()
+    def expect(self, text):
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
 
-    def at_punct(self, text) -> bool:
-        kind, tok_text, _ = self.peek()
-        return kind == "PUNCT" and tok_text == text
-
-    def at_keyword(self, word) -> bool:
-        kind, tok_text, _ = self.peek()
-        return kind == "NAME" and tok_text == word
+    def accept(self, text) -> bool:
+        """Step past the current token if it is ``text``."""
+        if self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
     def parse_protocol(self) -> ProtocolAst:
-        stmts = self.parse_statements(until="EOF")
-        self.expect("EOF")
+        stmts = self.parse_statements("")
         return ProtocolAst(tuple(stmts))
 
     def parse_statements(self, until) -> list[Statement]:
+        """Statements up to the token ``until``: ``}`` or end of input."""
         stmts = []
+        tokens = self.tokens
         while True:
-            if until == "EOF" and self.peek()[0] == "EOF":
-                break
-            if until == "}" and self.at_punct("}"):
-                break
-            stmts.append(self.parse_statement())
-        return stmts
-
-    def parse_statement(self) -> Statement:
-        if self.at_keyword("get"):
-            return self.parse_query()
-        if self.at_keyword("if"):
-            return self.parse_branch()
-        if self.at_keyword("do"):
-            return self.parse_action()
-        self.error("expected 'get', 'if', or 'do'")
+            tok = tokens[self.pos]
+            if tok == until:
+                return stmts
+            if tok == "get":
+                stmts.append(self.parse_query())
+            elif tok == "if":
+                stmts.append(self.parse_branch())
+            elif tok == "do":
+                stmts.append(self.parse_action())
+            else:
+                self.error("expected 'get', 'if', or 'do'")
 
     def parse_query(self) -> Query:
-        self.expect("NAME", "get")
-        self.expect("PUNCT", "(")
+        self.pos += 1  # get
+        self.expect("(")
         bindings = [self.parse_binding()]
-        while self.at_punct(","):
-            self.advance()
+        while self.accept(","):
             bindings.append(self.parse_binding())
-        self.expect("PUNCT", ")")
-        self.expect("NAME", "from")
+        self.expect(")")
+        self.expect("from")
         class_refs = [self.parse_class_ref()]
-        while self.at_punct(","):
-            self.advance()
+        while self.accept(","):
             class_refs.append(self.parse_class_ref())
         where = ()
-        if self.at_keyword("where"):
-            self.advance()
+        if self.accept("where"):
             where = tuple(self.parse_condition_list())
-        self.expect("PUNCT", ";")
+        self.expect(";")
         qid = self.next_query_id
         self.next_query_id += 1
         return Query(qid, tuple(bindings), tuple(class_refs), where)
 
     def parse_binding(self) -> tuple[str, str | None]:
         attr = self.parse_name("attribute name")
-        self.expect("PUNCT", ":")
-        if self.at_punct("*"):
-            self.advance()
+        self.expect(":")
+        if self.accept("*"):
             return (attr, None)
-        var = self.parse_name("variable name")
-        return (attr, var)
+        return (attr, self.parse_name("variable name"))
 
     def parse_name(self, what) -> str:
-        kind, text, _ = self.peek()
-        if kind != "NAME" or text in KEYWORDS:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier() or tok in KEYWORDS:
             self.error(f"expected {what}")
-        self.advance()
-        return text
+        self.pos += 1
+        return tok
 
     def parse_class_ref(self) -> ClassRef:
         names = [self.parse_name("class name")]
-        while self.at_punct("."):
-            self.advance()
+        while self.accept("."):
             names.append(self.parse_name("class name"))
         try:
             return ClassRef(tuple(names))
@@ -391,101 +410,99 @@ class _Parser:
 
     def parse_condition_list(self) -> list[Condition]:
         conds = [self.parse_condition()]
-        while self.at_punct("("):
+        while self.tokens[self.pos] == "(":
             conds.append(self.parse_condition())
         return conds
 
     def parse_condition(self) -> Condition:
-        self.expect("PUNCT", "(")
+        self.expect("(")
         lhs = self.parse_operand()
-        if self.peek()[0] != "OP":
+        op = self.tokens[self.pos]
+        if op not in _OPERATORS:
             self.error("expected comparison operator")
-        op = self.advance()[1]
+        self.pos += 1
         rhs = self.parse_operand()
-        self.expect("PUNCT", ")")
+        self.expect(")")
         return Condition(lhs, op, rhs)
 
     def parse_operand(self) -> Var | Lit:
-        kind, text, _ = self.peek()
-        if kind in ("INT", "DECIMAL", "DATE"):
-            return Lit(self.parse_literal())
-        if kind == "STRING":
-            self.advance()
-            return Lit(text[1:-1])
-        if kind == "NAME":
-            if text == "null":
-                self.advance()
+        tok = self.tokens[self.pos]
+        if tok.isidentifier():
+            if tok == "null":
+                self.pos += 1
                 return Lit(None)
-            if text in KEYWORDS:
+            if tok in KEYWORDS:
                 self.error("expected operand")
-            name = self.advance()[1]
-            if self.at_punct("."):
-                self.advance()
+            self.pos += 1
+            if self.accept("."):
                 fld = self.parse_name("date field")
                 if fld not in values.DATE_FIELDS:
                     self.error(
                         f"unknown date field {fld!r} (expected year, month, or day)"
                     )
-                return Var(name, fld)
-            return Var(name)
+                return Var(tok, fld)
+            return Var(tok)
+        if tok[:1] == "'":
+            self.pos += 1
+            return Lit(tok[1:-1])
+        if tok[:1].isdecimal():
+            return Lit(self.parse_literal(tok))
         self.error("expected operand")
 
-    def parse_literal(self):
-        """The value of a number or date token. A value that does not
-        convert, or that would not print back as the same literal, is a
-        syntax error at the token."""
-        kind, text, _ = self.peek()
-        if kind == "INT":
+    def parse_literal(self, tok):
+        """The value of the current token, a number or date. A value that
+        does not convert, or that would not print back as the same
+        literal, is a syntax error at the token."""
+        if "-" in tok:
             try:
-                value = int(text)
-            except ValueError:  # past the interpreter's digit limit
-                self.error(f"integer literal out of range ({len(text)} digits)")
-        elif kind == "DECIMAL":
-            value = float(text)
+                value = values.parse_date(tok)
+            except ValueError as exc:
+                self.error(f"invalid date literal {tok!r}: {exc}")
+        elif "." in tok:
+            value = float(tok)
             if math.isinf(value):
                 self.error("decimal literal out of range")
         else:
             try:
-                value = values.parse_date(text)
-            except ValueError as exc:
-                self.error(f"invalid date literal {text!r}: {exc}")
-        self.advance()
+                value = int(tok)
+            except ValueError:  # past the interpreter's digit limit
+                self.error(f"integer literal out of range ({len(tok)} digits)")
+        self.pos += 1
         return value
 
     def parse_branch(self) -> Branch:
-        tok = self.expect("NAME", "if")
+        at_if = self.pos
+        self.pos += 1  # if
         if self.depth >= MAX_NESTING:
-            self.error(f"'if' nested more than {MAX_NESTING} deep", tok)
+            self.error(f"'if' nested more than {MAX_NESTING} deep", at_if)
         conds = tuple(self.parse_condition_list())
         bid = self.next_branch_id
         self.next_branch_id += 1
         then_block = tuple(self.parse_block())
         else_block = None
-        if self.at_keyword("else"):
-            self.advance()
+        if self.accept("else"):
             else_block = tuple(self.parse_block())
         return Branch(bid, conds, then_block, else_block)
 
     def parse_block(self) -> list[Statement]:
-        self.expect("PUNCT", "{")
+        self.expect("{")
         self.depth += 1
-        stmts = self.parse_statements(until="}")
+        stmts = self.parse_statements("}")
         self.depth -= 1
-        self.expect("PUNCT", "}")
+        self.pos += 1  # }
         return stmts
 
     def parse_action(self) -> Action:
-        self.expect("NAME", "do")
+        self.pos += 1  # do
         name = self.parse_name("action name")
-        self.expect("PUNCT", "(")
+        self.expect("(")
         args = []
-        if not self.at_punct(")"):
+        if self.tokens[self.pos] != ")":
             args.append(self.parse_operand())
-            while self.at_punct(","):
-                self.advance()
+            while self.accept(","):
                 args.append(self.parse_operand())
-        self.expect("PUNCT", ")")
-        self.expect("PUNCT", ";")
+        self.expect(")")
+        self.expect(";")
         return Action(name, tuple(args))
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from protoverify import values
+from protoverify import protocol, values
 from protoverify.errors import (
     IncomparableTagsError,
     ProtocolError,
@@ -204,6 +204,31 @@ def test_literal_kinds():
     # ``\d`` is any Unicode decimal digit, so an Arabic-Indic three is an int.
     q = parse_protocol("get (a: x) from K where (x = ٣);").query(1)
     assert q.where[0].rhs == Lit(3) and type(q.where[0].rhs.value) is int
+
+
+class _CountingPattern:
+    """A compiled pattern that counts its ``findall`` and ``finditer`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = {"findall": 0, "finditer": 0}
+
+    def findall(self, *args):
+        self.calls["findall"] += 1
+        return self.pattern.findall(*args)
+
+    def finditer(self, *args):
+        self.calls["finditer"] += 1
+        return self.pattern.finditer(*args)
+
+
+def test_valid_parse_scans_the_text_once(monkeypatch):
+    """A valid protocol is tokenized by one ``findall``; offsets are only
+    looked for, by ``finditer``, when there is an error to place."""
+    counting = _CountingPattern(protocol._TOKEN_RE)
+    monkeypatch.setattr(protocol, "_TOKEN_RE", counting)
+    parse_protocol(long_nested_protocol(random.Random(0), 8))
+    assert counting.calls == {"findall": 1, "finditer": 0}
 
 
 def test_date_field_access():
