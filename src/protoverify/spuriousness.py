@@ -567,18 +567,21 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
 def parse_trace(raw, p: ProtocolAst, db: Database):
     """Decode a JSON trace (list of {queryId, answer, branch?} entries)
     into the internal (queryId, answer-dict | NO_ANSWER, decisions) form.
-    A decision must name a branch of the protocol."""
+    A decision must name a branch of the protocol. Each error about one
+    entry names the entry's index."""
     if not isinstance(raw, list):
         raise InconsistentTraceError("trace must be a list of entries")
     branch_ids = {branch.id for branch in p.branches()}
     entries = []
     for index, item in enumerate(raw):
         if not isinstance(item, dict) or "queryId" not in item:
-            raise InconsistentTraceError("trace entry must be an object with a queryId")
+            raise InconsistentTraceError(
+                f"trace entry {index} must be an object with a queryId"
+            )
         qid = item["queryId"]
         if type(qid) is not int:
             raise InconsistentTraceError(
-                f"trace entry queryId {qid!r} must be an integer"
+                f"trace entry {index}: queryId {qid!r} must be an integer"
             )
         q = p.query(qid)
         raw_answer = item.get("answer")
@@ -586,7 +589,8 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
             answer = NO_ANSWER
         elif not isinstance(raw_answer, dict):
             raise InconsistentTraceError(
-                f"trace entry for query {qid}: 'answer' must be an object or null"
+                f"trace entry {index} for query {qid}: 'answer' must be an "
+                f"object or null"
             )
         else:
             answer = {}
@@ -597,7 +601,7 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
                     answer[var] = values.value_from_json(raw_val, tag)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise InconsistentTraceError(
-                        f"trace entry for query {qid}: value of {var!r} is "
+                        f"trace entry {index} for query {qid}: value of {var!r} is "
                         f"not a {tag}: {exc}"
                     ) from exc
         decisions = item.get("branch")
@@ -609,7 +613,7 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
             _is_decision(d) for d in decisions
         ):
             raise InconsistentTraceError(
-                f"trace entry for query {qid}: 'branch' must be an object, or "
+                f"trace entry {index} for query {qid}: 'branch' must be an object, or "
                 f"a list of objects, with an integer 'index' and a boolean 'taken'"
             )
         for d in decisions:
@@ -642,13 +646,15 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
     """Validate a trace against the protocol and database schema.
 
     Returns (seeded answers per query id, branch decisions, reached query
-    ids). Raises InconsistentTraceError on any violation.
+    ids). Raises InconsistentTraceError on any violation, naming the
+    trace entry at fault: every decision an entry claims must be for a
+    branch the replay reaches, and must agree with its outcome there.
     """
     entries = list(trace)
-    claimed: dict[int, bool] = {}
-    for _, _, decisions in entries:
+    claims: dict[int, list[tuple[int, bool]]] = {}
+    for index, (_, _, decisions) in enumerate(entries):
         for bid, taken in decisions:
-            claimed[bid] = taken
+            claims.setdefault(bid, []).append((index, taken))
     env: dict[str, object] = {}
     seeded: dict[int, object] = {}
     decided: dict[int, bool] = {}
@@ -667,26 +673,28 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
             qid, answer, _ = entries[pos]
             if qid != st.id:
                 raise InconsistentTraceError(
-                    f"trace answers query {qid} but query {st.id} executes next"
+                    f"trace entry {pos} answers query {qid} but query "
+                    f"{st.id} executes next"
                 )
+            _apply_answer(p, st, answer, env, db, pos)
             pos += 1
             reached.add(st.id)
-            _apply_answer(p, st, answer, env, db)
             seeded[st.id] = answer
         elif isinstance(st, Branch):
             if not all(v in env for c in st.conditions for v in c.variables()):
                 if pos < len(entries):
                     raise InconsistentTraceError(
-                        f"branch {st.id} guard is undecidable but the "
-                        f"trace continues past it"
+                        f"branch {st.id} guard is undecidable but trace "
+                        f"entry {pos} continues past it"
                     )
                 break
             outcome = all(eval_condition(c, env) for c in st.conditions)
-            if st.id in claimed and claimed[st.id] != outcome:
-                raise InconsistentTraceError(
-                    f"trace decides branch {st.id} as {claimed[st.id]} "
-                    f"but the seeded values force {outcome}"
-                )
+            for index, taken in claims.get(st.id, ()):
+                if taken != outcome:
+                    raise InconsistentTraceError(
+                        f"trace entry {index} decides branch {st.id} as {taken} "
+                        f"but the seeded values force {outcome}"
+                    )
             decided[st.id] = outcome
             if outcome:
                 blocks.append(iter(st.then_block))
@@ -694,40 +702,50 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
                 blocks.append(iter(st.else_block))
     if pos < len(entries):
         raise InconsistentTraceError(
-            f"trace entry for query {entries[pos][0]} never executes"
+            f"trace entry {pos} for query {entries[pos][0]} never executes"
         )
+    for index, (_, _, decisions) in enumerate(entries):
+        for bid, _ in decisions:
+            if bid not in decided:
+                raise InconsistentTraceError(
+                    f"trace entry {index} decides branch {bid}, which the trace "
+                    f"never reaches"
+                )
     return seeded, decided, reached
 
 
-def _apply_answer(p: ProtocolAst, q: Query, answer, env, db: Database):
+def _apply_answer(p: ProtocolAst, q: Query, answer, env, db: Database, index):
+    """Bind the answer of trace entry ``index`` to query ``q`` in ``env``."""
     if answer is NO_ANSWER:
         for var in query_new_variables(p, q):
             env[var] = None
         return
+    entry = f"trace entry {index} for query {q.id}"
     expected = set(q.output_variables())
     if set(answer) != expected:
         raise InconsistentTraceError(
-            f"answer for query {q.id} must bind exactly {sorted(expected)}"
+            f"{entry}: answer must bind exactly {sorted(expected)}"
         )
     tags = _variable_tags(q, db)
     for var, val in answer.items():
         if val is not None and var in tags:
             if not values.tags_comparable(values.tag_of(val), tags[var]):
                 raise InconsistentTraceError(
-                    f"answer value for {var!r} has tag "
+                    f"{entry}: answer value for {var!r} has tag "
                     f"{values.tag_of(val)!r}, expected {tags[var]!r}"
                 )
     for var in expected & set(env):
         prev = env[var]
         if prev is None or answer[var] is None or prev != answer[var]:
             raise InconsistentTraceError(
-                f"answer rebinds instantiated variable {var!r} inconsistently"
+                f"{entry}: answer rebinds instantiated variable {var!r} "
+                f"inconsistently"
             )
     check_env = dict(env)
     check_env.update(answer)
     for cond in q.where:
         if cond.variables() <= set(check_env) and not eval_condition(cond, check_env):
             raise InconsistentTraceError(
-                f"answer for query {q.id} violates its where clause {cond}"
+                f"{entry}: answer violates its where clause {cond}"
             )
     env.update(answer)

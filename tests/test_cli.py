@@ -476,6 +476,23 @@ def test_step_decision_for_missing_branch_exit_two(capsys, tmp_path):
     assert "trace entry 0 decides branch 9" in err
 
 
+def test_step_decision_for_unreached_branch_exit_two(capsys, tmp_path):
+    """The trace stops before protocol1's branch, so a decision for it can
+    be neither checked nor applied: an error, not a verdict."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([{
+        "queryId": 1,
+        "answer": {"t1": "ManualName", "a": "Knuth", "d1": "1973-01-01"},
+        "branch": {"index": 1, "taken": False},
+    }]))
+    code, out, err = run(
+        capsys, "step", "--server", PUB_SERVER, "--protocol", PROTOCOL1,
+        "--db", DB_REALIZABLE, "--trace", str(trace),
+    )
+    assert (code, out) == (2, "")
+    assert "trace entry 0 decides branch 1, which the trace never reaches" in err
+
+
 def test_verify_db_duplicate_attribute_exit_two(capsys, tmp_path):
     protocol = tmp_path / "dup.pv"
     protocol.write_text(

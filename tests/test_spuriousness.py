@@ -527,6 +527,79 @@ def test_value_from_json_accepts_only_the_tags_kind(raw, tag, expected):
         assert decoded == expected and type(decoded) is type(expected)
 
 
+ENTRY_1 = {"queryId": 1, "answer": q1_answer()}
+TAOCP = {"t2": "TAOCP", "a": "Knuth"}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([ENTRY_1, 5], "trace entry 1 must be an object with a queryId"),
+        ([ENTRY_1, {"queryId": "2"}],
+         "trace entry 1: queryId '2' must be an integer"),
+        ([ENTRY_1, {"queryId": 2, "answer": 5}],
+         "trace entry 1 for query 2: 'answer' must be an object or null"),
+        ([ENTRY_1, {"queryId": 2, "answer": {"t2": 5, "a": "Knuth"}}],
+         "trace entry 1 for query 2: value of 't2' is not a str"),
+        ([ENTRY_1, {"queryId": 2, "answer": None, "branch": {"index": 1}}],
+         "trace entry 1 for query 2: 'branch' must be an object"),
+        ([ENTRY_1, {"queryId": 2, "answer": None,
+                    "branch": {"index": 9, "taken": True}}],
+         "trace entry 1 decides branch 9, which the protocol does not have"),
+        ([ENTRY_1, {"queryId": 3, "answer": None}],
+         "trace entry 1 answers query 3 but query 2 executes next"),
+        ([ENTRY_1, {"queryId": 2, "answer": {"t2": "TAOCP"}}],
+         "trace entry 1 for query 2: answer must bind exactly ['a', 't2']"),
+        ([ENTRY_1, {"queryId": 2, "answer": {"t2": "TAOCP", "a": "Other"}}],
+         "trace entry 1 for query 2: answer rebinds instantiated variable 'a' "
+         "inconsistently"),
+        ([{"queryId": 1, "answer": {**q1_answer(), "t1": "Wrong"}}],
+         "trace entry 0 for query 1: answer violates its where clause "
+         "(t1 = 'ManualName')"),
+        ([ENTRY_1, {"queryId": 2, "answer": TAOCP,
+                    "branch": {"index": 1, "taken": False}}],
+         "trace entry 1 decides branch 1 as False but the seeded values force True"),
+        ([ENTRY_1, {"queryId": 2, "answer": None},
+          {"queryId": 3, "answer": None}],
+         "trace entry 2 for query 3 never executes"),
+        ([{**ENTRY_1, "branch": {"index": 1, "taken": False}}],
+         "trace entry 0 decides branch 1, which the trace never reaches"),
+        ([{**ENTRY_1, "branch": {"index": 1, "taken": True}},
+          {"queryId": 2, "answer": TAOCP, "branch": {"index": 1, "taken": False}}],
+         "trace entry 1 decides branch 1 as False but the seeded values force True"),
+        ([{**ENTRY_1, "branch": {"index": 1, "taken": False}},
+          {"queryId": 2, "answer": TAOCP, "branch": {"index": 1, "taken": True}}],
+         "trace entry 0 decides branch 1 as False but the seeded values force True"),
+    ],
+    ids=[
+        "not-an-object", "queryId-not-int", "answer-not-object", "value-of-wrong-kind",
+        "malformed-decision", "unknown-branch", "out-of-order", "wrong-variables",
+        "inconsistent-rebinding", "where-violated", "contradicted-branch",
+        "never-executes", "unreached-branch", "later-claim-contradicts",
+        "earlier-claim-contradicts",
+    ],
+)
+def test_trace_errors_name_their_entry(protocol1, pub_server, pub_db_realizable,
+                                       raw, message):
+    ms = conflicts_for(protocol1, pub_server)
+    with pytest.raises(InconsistentTraceError) as exc:
+        trace = parse_trace(raw, protocol1, pub_db_realizable)
+        step_verify(protocol1, pub_server, pub_db_realizable, ms, trace)
+    assert str(exc.value).startswith(message)
+
+
+def test_answer_of_wrong_tag_names_its_entry(protocol1, pub_server, pub_db_realizable):
+    """Values decoded by ``parse_trace`` always carry their column's tag;
+    a trace built directly may not."""
+    trace = [(1, {"t1": "ManualName", "a": "Knuth", "d1": 5}, [])]
+    with pytest.raises(InconsistentTraceError) as exc:
+        step_verify(protocol1, pub_server, pub_db_realizable, [], trace)
+    assert str(exc.value) == (
+        "trace entry 0 for query 1: answer value for 'd1' has tag 'int', "
+        "expected 'date'"
+    )
+
+
 def test_parse_trace_decimal_out_of_range():
     p = parse_protocol("get (price: x) from Base;")
     db = Database({}, None, {"price": "decimal"})
