@@ -51,6 +51,7 @@ from .errors import (
     SchemaError,
     TagMismatchError,
     UncoveredBindingError,
+    UnknownQueryError,
     UnresolvableClassError,
 )
 from .ontology import OntologyGraph
@@ -583,7 +584,13 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
             raise InconsistentTraceError(
                 f"trace entry {index}: queryId {qid!r} must be an integer"
             )
-        q = p.query(qid)
+        try:
+            q = p.query(qid)
+        except UnknownQueryError:
+            raise InconsistentTraceError(
+                f"trace entry {index} answers query {qid}, which the protocol "
+                f"does not have"
+            ) from None
         raw_answer = item.get("answer")
         if raw_answer is None:
             answer = NO_ANSWER

@@ -537,6 +537,8 @@ TAOCP = {"t2": "TAOCP", "a": "Knuth"}
         ([ENTRY_1, 5], "trace entry 1 must be an object with a queryId"),
         ([ENTRY_1, {"queryId": "2"}],
          "trace entry 1: queryId '2' must be an integer"),
+        ([ENTRY_1, {"queryId": 9, "answer": None}],
+         "trace entry 1 answers query 9, which the protocol does not have"),
         ([ENTRY_1, {"queryId": 2, "answer": 5}],
          "trace entry 1 for query 2: 'answer' must be an object or null"),
         ([ENTRY_1, {"queryId": 2, "answer": {"t2": 5, "a": "Knuth"}}],
@@ -572,7 +574,7 @@ TAOCP = {"t2": "TAOCP", "a": "Knuth"}
          "trace entry 0 decides branch 1 as False but the seeded values force True"),
     ],
     ids=[
-        "not-an-object", "queryId-not-int", "answer-not-object", "value-of-wrong-kind",
+        "not-an-object", "queryId-not-int", "unknown-query", "answer-not-object", "value-of-wrong-kind",
         "malformed-decision", "unknown-branch", "out-of-order", "wrong-variables",
         "inconsistent-rebinding", "where-violated", "contradicted-branch",
         "never-executes", "unreached-branch", "later-claim-contradicts",
