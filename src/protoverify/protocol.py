@@ -450,9 +450,9 @@ class _Parser:
         self.error("expected operand")
 
     def parse_literal(self, tok):
-        """The value of the current token, a number or date. A value that
-        does not convert, or that would not print back as the same
-        literal, is a syntax error at the token."""
+        """The value of ``tok``, the current token, a number or date. A
+        value that does not convert, or that would not print back as the
+        same literal, is a syntax error at the token."""
         if "-" in tok:
             try:
                 value = values.parse_date(tok)
