@@ -139,19 +139,7 @@ class OntologyGraph:
         """Reflexive-transitive subclass test over inheritance edges."""
         a = self._resolve(ancestor).name
         d = self._resolve(descendant).name
-        if a == d:
-            return True
-        seen = set()
-        frontier = [a]
-        while frontier:
-            cur = frontier.pop()
-            for child in self._children[cur]:
-                if child == d:
-                    return True
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return False
+        return a == d or d in self.descendants(a)
 
     def ancestors(self, class_name: str) -> frozenset[str]:
         """Proper ancestors (superclasses at any distance)."""

@@ -26,6 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import values
 from .errors import (
@@ -140,6 +141,15 @@ class Query:
                 seen.append(var)
         return tuple(seen)
 
+    @cached_property
+    def read_variables(self) -> frozenset[str]:
+        """The variables the query reads: its bindings and where
+        conditions. Computed once per query; it takes no part in
+        equality."""
+        return frozenset(self.output_variables()).union(
+            *(c.variables() for c in self.where)
+        )
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -164,8 +174,8 @@ class ProtocolAst:
 
     The index is built once, in one walk, when the AST is: the queries
     and branches by id, each query's predecessor on its own syntactic
-    path, the (branch, arm) pairs enclosing each query, and the query
-    that first binds each variable. It takes no part in equality.
+    path, the (branch, arm) pairs enclosing each query, and each query's
+    path-fresh variables. It takes no part in equality.
     """
 
     statements: tuple[Statement, ...]
@@ -175,37 +185,46 @@ class ProtocolAst:
     _arms: dict[int, tuple[tuple[Branch, bool], ...]] = field(
         init=False, compare=False, repr=False
     )
-    _first_binding: dict[str, int] = field(init=False, compare=False, repr=False)
+    _fresh: dict[int, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("_queries", "_branches", "_previous", "_arms", "_first_binding"):
+        for name in ("_queries", "_branches", "_previous", "_arms", "_fresh"):
             object.__setattr__(self, name, {})
-        self._index_block(self.statements, None, ())
+        self._index_block(self.statements, None, (), set())
 
-    def _index_block(self, stmts, prev, enclosing):
+    def _index_block(self, stmts, prev, enclosing, bound):
         """Index a block whose first query follows ``prev`` on its path.
 
         ``prev`` is the last query statement before this point in this
-        block or an enclosing one. Queries inside an earlier branch are
-        not on the syntactic path, although an execution may have run
+        block or an enclosing one, and ``bound`` the variables the queries
+        on the path up to it bind; the block's own bindings are taken out
+        of ``bound`` again when it ends. Queries inside an earlier branch
+        are not on the syntactic path, although an execution may have run
         them. A method rather than a nested function: a closure that
         calls itself is a reference cycle, which would keep the whole
         AST alive until the cyclic garbage collector runs.
         """
+        added = []
         for st in stmts:
             if isinstance(st, Query):
                 self._queries[st.id] = st
                 self._previous[st.id] = prev
                 self._arms[st.id] = enclosing
+                fresh = []
                 for _, var in st.bindings:
-                    if var is not None:
-                        self._first_binding.setdefault(var, st.id)
+                    if var is not None and var not in bound:
+                        bound.add(var)
+                        fresh.append(var)
+                self._fresh[st.id] = tuple(fresh)
+                added += fresh
                 prev = st.id
             elif isinstance(st, Branch):
                 self._branches[st.id] = st
-                self._index_block(st.then_block, prev, enclosing + ((st, True),))
+                self._index_block(st.then_block, prev, enclosing + ((st, True),), bound)
                 if st.else_block is not None:
-                    self._index_block(st.else_block, prev, enclosing + ((st, False),))
+                    self._index_block(st.else_block, prev, enclosing + ((st, False),),
+                                      bound)
+        bound.difference_update(added)
 
     def queries(self) -> list[Query]:
         """All queries in document order."""
@@ -239,10 +258,10 @@ class ProtocolAst:
         self.query(query_id)
         return self._arms[query_id]
 
-    def first_binding(self, variable: str) -> int | None:
-        """Id of the first query (in document order) that binds the
-        variable, or None if none does."""
-        return self._first_binding.get(variable)
+    def fresh_variables(self, query_id: int) -> tuple[str, ...]:
+        """The query's output variables that no earlier query on its
+        syntactic path binds, in binding order."""
+        return self._fresh[query_id]
 
 
 # --- lexer ---

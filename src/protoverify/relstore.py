@@ -95,11 +95,14 @@ def relation(name, columns, tags, rows) -> Relation:
 def natural_join(r1: Relation, r2: Relation) -> Relation:
     """Join on all shared column names; null never matches anything.
 
-    Disjoint schemas degenerate to the Cartesian product.
+    A shared column's tags must be comparable (``values.tags_comparable``:
+    an int column joins a decimal one, 1 with 1.0); the joined column
+    keeps the left relation's tag and value. Disjoint schemas degenerate
+    to the Cartesian product.
     """
     shared = [c for c in r1.columns if c in r2.columns]
     for c in shared:
-        if r1.tag(c) != r2.tag(c):
+        if not values.tags_comparable(r1.tag(c), r2.tag(c)):
             raise TagMismatchError(
                 f"shared column {c!r} has tags {r1.tag(c)!r} and {r2.tag(c)!r}"
             )

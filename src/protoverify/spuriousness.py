@@ -34,8 +34,10 @@ on the attribute, built once per database (``relstore.extent_index``),
 unless the manifest tags allow one of the query's where conditions to
 raise.
 
-Step mode seeds concrete answers from a conversation prefix and prunes
-conflicts behind branch decisions that were already taken.
+Step mode replays a conversation prefix: each answered query's answer
+relation is its one answer from the prefix, and conflicts behind branch
+decisions already taken are pruned. Static verification is the same
+with no prefix.
 """
 
 from __future__ import annotations
@@ -84,13 +86,6 @@ REALIZABLE = "realizable"
 
 # Sentinel answer for a query the trace recorded as unanswered.
 NO_ANSWER = object()
-
-
-# --- variable classification ---
-
-def query_new_variables(p: ProtocolAst, q: Query) -> frozenset[str]:
-    """Variables the query binds first."""
-    return frozenset(v for v in q.output_variables() if p.first_binding(v) == q.id)
 
 
 # --- answer relations ---
@@ -205,20 +200,17 @@ class VerifyContext:
     """State confined to one verification call.
 
     ``answers`` maps a query id to the query's answer relation and the
-    where conditions left for per-state evaluation, built on first use.
-    ``steps`` maps (state set, query id, kept columns) to the state set
-    that extension step yields, so conflicts whose paths share a prefix
-    share its steps. ``reads`` and ``fresh`` hold, per query id, the
-    variables the query reads and the ones it binds first on its path.
-    None of it outlives the call: one protocol may be verified against
-    several databases.
+    where conditions left for per-state evaluation: a replayed trace's
+    answer as one row (none for an unanswered entry) with no conditions
+    left, otherwise the database's, built on first use. ``steps`` maps
+    (state set, query id, kept columns) to the state set that extension
+    step yields, so conflicts whose paths share a prefix share its
+    steps. None of it outlives the call: one protocol may be verified
+    against several databases.
     """
 
-    seeded_answers: dict[int, object] = field(default_factory=dict)
     answers: dict[int, tuple[Relation, list[Condition]]] = field(default_factory=dict)
     steps: dict[tuple, "ReachingStates"] = field(default_factory=dict)
-    reads: dict[int, frozenset[str]] = field(default_factory=dict)
-    fresh: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -290,18 +282,7 @@ def _declared_relation(q: Query, db: Database, rows) -> Relation:
 
 def _answers(q: Query, ctx: VerifyContext, db: Database):
     """The answers a path query can receive, and its where conditions
-    that read earlier variables.
-
-    A seeded step-mode answer is one row, or none for an unanswered
-    query. Otherwise the relation comes from the database and is built
-    at most once per call.
-    """
-    if q.id in ctx.seeded_answers:
-        answer = ctx.seeded_answers[q.id]
-        rows = [] if answer is NO_ANSWER else [
-            tuple(answer.get(v) for v in q.output_variables())
-        ]
-        return _declared_relation(q, db, rows), []
+    that read earlier variables, built at most once per call."""
     if q.id not in ctx.answers:
         try:
             rel = generate_assignable_set(q, db)
@@ -342,16 +323,6 @@ def _row_key(row) -> tuple:
     return tuple(map(values.sort_key, row))
 
 
-def _reads(q: Query, ctx: VerifyContext) -> frozenset[str]:
-    """The variables a query reads: its bindings and where conditions."""
-    reads = ctx.reads.get(q.id)
-    if reads is None:
-        reads = ctx.reads[q.id] = frozenset(q.output_variables()).union(
-            *(c.variables() for c in q.where)
-        )
-    return reads
-
-
 def _reaching_states(p: ProtocolAst, db: Database, target: int,
                      ctx: VerifyContext, needed: set[str]) -> ReachingStates:
     """The states at the target, extended query by query along its path.
@@ -369,16 +340,11 @@ def _reaching_states(p: ProtocolAst, db: Database, target: int,
     queries = p.path_queries(target)
     last_read: dict[str, int] = {}
     for i, q in enumerate(queries):
-        for v in _reads(q, ctx):
+        for v in q.read_variables:
             last_read[v] = i
     states = _START
     for i, q in enumerate(queries):
-        fresh = ctx.fresh.get(q.id)
-        if fresh is None:
-            bound = set(states.columns)
-            fresh = ctx.fresh[q.id] = tuple(
-                v for v in q.output_variables() if v not in bound
-            )
+        fresh = p.fresh_variables(q.id)
         keep = tuple(
             v for v in states.live + fresh if v in needed or last_read[v] > i
         )
@@ -480,13 +446,13 @@ def _least_per_part(extensions, part_at, sort_keys) -> list[tuple]:
 
 
 def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
-                     combination: str,
-                     drop_conditions_of: set[int] | None = None) -> ConflictVerdict:
-    # (conditions, arm) per branch on the path: the branch's conjunction
-    # must evaluate to exactly the arm taken.
+                     combination: str, decided=()) -> ConflictVerdict:
+    # (conditions, arm) per branch on the path that the trace has not
+    # ``decided``: the branch's conjunction must evaluate to exactly the
+    # arm taken.
     pairs = [
         (branch.conditions, arm) for branch, arm in p.arms(qid)
-        if not drop_conditions_of or branch.id not in drop_conditions_of
+        if branch.id not in decided
     ]
     if not pairs:
         return ConflictVerdict(qid, REALIZABLE, witness={})
@@ -523,15 +489,8 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
 def verify_all(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                combination: str = CONJUNCTION) -> SpuriousnessReport:
     """One verdict per distinct conflicting query, in query order."""
-    _check_binding_tags(p, db)
-    ctx = VerifyContext()
-    entries = []
-    for qid in sorted({m.query_id for m in conflicts}):
-        entries.append(_decide_conflict(qid, ctx, p, db, combination))
-    return SpuriousnessReport(tuple(entries), mode="static")
+    return _verify(p, db, conflicts, None, combination)
 
-
-# --- step mode (incremental verification after each exchange) ---
 
 def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                 trace, combination: str = CONJUNCTION) -> SpuriousnessReport:
@@ -541,12 +500,25 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
     way are dropped; answered queries become singleton answer relations.
     An empty trace degenerates to the static verdicts.
     """
+    return _verify(p, db, conflicts, trace, combination)
+
+
+def _verify(p: ProtocolAst, db: Database, conflicts, trace,
+            combination: str) -> SpuriousnessReport:
+    """The verdicts of both entry points: those after replaying
+    ``trace``, or the static verdicts when there is no trace (``None``).
+    Each entry point calls this function directly, so neither runs
+    inside the other."""
     _check_binding_tags(p, db)
-    seeded, decided, reached = _replay_trace(p, db, trace)
-    ctx = VerifyContext(seeded_answers=seeded)
+    ctx = VerifyContext()
+    decided: dict[int, bool] = {}
+    reached: set[int] = set()
+    if trace is not None:
+        decided, reached = _replay_trace(p, db, trace, ctx.answers)
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
-        if any(decided.get(branch.id, arm) != arm for branch, arm in p.arms(qid)):
+        if decided and any(decided.get(branch.id, arm) != arm
+                           for branch, arm in p.arms(qid)):
             continue
         if qid in reached:
             entries.append(
@@ -556,14 +528,11 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                 )
             )
             continue
-        entries.append(
-            _decide_conflict(
-                qid, ctx, p, db, combination,
-                drop_conditions_of=set(decided),
-            )
-        )
+        entries.append(_decide_conflict(qid, ctx, p, db, combination, decided))
     return SpuriousnessReport(tuple(entries), mode="step" if trace else "static")
 
+
+# --- step mode (incremental verification after each exchange) ---
 
 def parse_trace(raw, p: ProtocolAst, db: Database):
     """Decode a JSON trace (list of {queryId, answer, branch?} entries)
@@ -649,10 +618,12 @@ def _variable_tags(q: Query, db: Database) -> dict[str, str]:
     return tags
 
 
-def _replay_trace(p: ProtocolAst, db: Database, trace):
+def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
     """Validate a trace against the protocol and database schema.
 
-    Returns (seeded answers per query id, branch decisions, reached query
+    Each replayed answer goes into ``answers`` as the query's one-row
+    answer relation (no row for an unanswered entry), with no where
+    condition left to apply. Returns (branch decisions, reached query
     ids). Raises InconsistentTraceError on any violation, naming the
     trace entry at fault: every decision an entry claims must be for a
     branch the replay reaches, and must agree with its outcome there.
@@ -663,7 +634,6 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
         for bid, taken in decisions:
             claims.setdefault(bid, []).append((index, taken))
     env: dict[str, object] = {}
-    seeded: dict[int, object] = {}
     decided: dict[int, bool] = {}
     reached: set[int] = set()
     pos = 0
@@ -683,10 +653,13 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
                     f"trace entry {pos} answers query {qid} but query "
                     f"{st.id} executes next"
                 )
-            _apply_answer(p, st, answer, env, db, pos)
+            _apply_answer(st, answer, env, db, pos)
             pos += 1
             reached.add(st.id)
-            seeded[st.id] = answer
+            rows = [] if answer is NO_ANSWER else [
+                tuple(answer[v] for v in st.output_variables())
+            ]
+            answers[st.id] = (_declared_relation(st, db, rows), [])
         elif isinstance(st, Branch):
             if not all(v in env for c in st.conditions for v in c.variables()):
                 if pos < len(entries):
@@ -718,14 +691,17 @@ def _replay_trace(p: ProtocolAst, db: Database, trace):
                     f"trace entry {index} decides branch {bid}, which the trace "
                     f"never reaches"
                 )
-    return seeded, decided, reached
+    return decided, reached
 
 
-def _apply_answer(p: ProtocolAst, q: Query, answer, env, db: Database, index):
-    """Bind the answer of trace entry ``index`` to query ``q`` in ``env``."""
+def _apply_answer(q: Query, answer, env, db: Database, index):
+    """Bind the answer of trace entry ``index`` to query ``q`` in ``env``.
+    An unanswered query's output variables that are still unbound come
+    back null, as in the oracle."""
     if answer is NO_ANSWER:
-        for var in query_new_variables(p, q):
-            env[var] = None
+        for var in q.output_variables():
+            if var not in env:
+                env[var] = None
         return
     entry = f"trace entry {index} for query {q.id}"
     expected = set(q.output_variables())

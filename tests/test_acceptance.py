@@ -255,7 +255,7 @@ def _away_trace(inst):
             env2 = dict(env)
             if a is NO_ANSWER:
                 for v in q.output_variables():
-                    if p.first_binding(v) == q.id:
+                    if v not in env:
                         env2[v] = None
             else:
                 env2.update(a)
@@ -287,17 +287,22 @@ def test_criterion_8_step_consistency():
     assert away_checked >= 20
 
 
+def _first_binding(p, variable):
+    """Id of the first query, in document order, that binds the variable."""
+    return next((q.id for q in p.queries() if variable in q.output_variables()), None)
+
+
 def _chain_tables(inst, needed):
     p, db = inst.ast, inst.db
     qids = set()
-    frontier = {p.first_binding(v) for v in needed}
+    frontier = {_first_binding(p, v) for v in needed}
     while frontier:
         qid = frontier.pop()
         qids.add(qid)
         q = p.query(qid)
         # The query's prior variables: those it reads that another query binds.
         for v in set(q.output_variables()).union(*(c.variables() for c in q.where)):
-            nxt = p.first_binding(v)
+            nxt = _first_binding(p, v)
             if nxt != qid and nxt not in qids:
                 frontier.add(nxt)
     tables = set()

@@ -295,6 +295,37 @@ def test_step_oracle_replays_the_trace_prefix(capsys, tmp_path):
     assert out.startswith("query 3: realizable") and "[oracle agrees: True]" in out
 
 
+def test_step_unanswered_query_nulls_its_unbound_outputs(capsys, tmp_path):
+    """Query 3 binds ``y`` in the else arm, although query 2 in the then
+    arm binds it first in the text. Unanswered, query 3 leaves ``y``
+    null, as in the oracle, so branch 2 is decided false: conflict 4 is
+    pruned and query 5, answered in the trace, is already reached."""
+    server, db = base_db(tmp_path)
+    (tmp_path / "db" / "Base.csv").write_text("a1,a2,name,price\n1,5,x,1.0\n2,5,y,2.5\n")
+    protocol = tmp_path / "p.pv"
+    protocol.write_text(
+        "get (a1: x) from Base;\n"
+        "if (x = 1) { get (a2: y) from Base; } else { get (a2: y) from Base; }\n"
+        "if (y = 7) { get (ghost: w) from Missing; }\n"
+        "get (ghost: w2) from Missing;\n"
+    )
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([
+        {"queryId": 1, "answer": {"x": 2}},
+        {"queryId": 3, "answer": None},
+        {"queryId": 5, "answer": None},
+    ]))
+    code, out, err = run(
+        capsys, "step", "--server", server, "--protocol", str(protocol),
+        "--db", db, "--trace", str(trace), "--oracle",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "query 5: realizable (witness {}) [oracle agrees: True]"
+        " -- conflicting query already reached in trace\n"
+    )
+
+
 THREE_CONFLICTS = (
     "get (title: t1, author: a) from Book;\n"
     "get (title: t2, date: d) from Book.Proceedings where (t2 = t1);\n"
@@ -617,6 +648,32 @@ def test_verify_db_int_decimal_rebinding_gets_verdict(capsys, tmp_path):
     (entry,) = json.loads(out)
     assert entry["verdict"] == "realizable"
     assert entry["oracleAgrees"] is True
+
+
+def test_verify_db_joins_int_with_decimal_binding(capsys, tmp_path):
+    """One query binds ``x`` to an int and a decimal attribute of two
+    classes; the join matches 1 with 1.0, as the same binding split over
+    two queries does, and the oracle agrees."""
+    server, db = base_db(tmp_path)
+    (tmp_path / "server.json").write_text(json.dumps({"classes": [
+        {"name": "Base", "dataProperties": ["a1", "a2", "name", "price"]},
+        {"name": "Other", "dataProperties": ["b1"]},
+    ]}))
+    (tmp_path / "db" / "manifest.json").write_text(json.dumps({
+        "Base": {"a1": "int", "a2": "int", "name": "str", "price": "decimal"},
+        "Other": {"b1": "decimal"},
+    }))
+    (tmp_path / "db" / "Other.csv").write_text("b1\n1.0\n3.5\n")
+    protocol = tmp_path / "p.pv"
+    for text in ("get (a1: x, b1: x) from Base, Other;",
+                 "get (a1: x) from Base; get (b1: x) from Other;"):
+        protocol.write_text(text + "\nif (x = 1) { get (ghost: g) from Missing; }\n")
+        code, out, err = run(
+            capsys, "verify-db", "--server", server, "--protocol", str(protocol),
+            "--db", db, "--oracle",
+        )
+        assert (code, err) == (1, "")
+        assert out.endswith(": realizable (witness {'x': 1}) [oracle agrees: True]\n")
 
 
 def test_verify_db_oracle_on_long_protocol(capsys, tmp_path):

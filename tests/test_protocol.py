@@ -294,11 +294,24 @@ def test_path_conditions_unknown_query(protocol1):
         protocol1.path_queries(99)
 
 
-def test_first_binding(protocol1, protocol2):
-    assert protocol1.first_binding("a") == 1
-    assert protocol1.first_binding("t3") == 3
-    assert protocol2.first_binding("mod") == 2
-    assert protocol1.first_binding("zz") is None
+def test_fresh_variables_follow_the_syntactic_path():
+    p = parse_protocol(
+        "get (a: x) from C;"
+        " if (x = 1) { get (a: y, b: x) from C; } else { get (b: y, a: z, c: y) from C; }"
+        " get (a: z, b: y, c: w) from C;"
+    )
+    assert [p.fresh_variables(q.id) for q in p.queries()] == [
+        ("x",), ("y",), ("y", "z"), ("z", "y", "w"),
+    ]
+
+
+def test_read_variables_are_bindings_and_where_reads():
+    p = parse_protocol(
+        "get (a: x) from C; get (a: y, b: *) from C where (y > x) (x.year = 2);"
+    )
+    assert p.query(1).read_variables == frozenset({"x"})
+    assert p.query(2).read_variables == frozenset({"x", "y"})
+    assert p.query(2) == parse_protocol(print_protocol(p)).query(2)
 
 
 def test_eval_condition_null_rules():
@@ -462,9 +475,10 @@ def nest_in_branches(draw, queries, depth, branch_ids):
 
 
 def reference_index(stmts):
-    """Each query's path queries and (branch, arm) pairs, and each
-    variable's first binding, by a plain recursive walk."""
-    paths, arms, first = {}, {}, {}
+    """Each query's path queries, (branch, arm) pairs and path-fresh
+    variables (outputs no earlier path query binds), by a plain
+    recursive walk."""
+    paths, arms, fresh = {}, {}, {}
 
     def walk(block, before, enclosing):
         before = list(before)
@@ -472,8 +486,8 @@ def reference_index(stmts):
             if isinstance(s, Query):
                 paths[s.id] = list(before)
                 arms[s.id] = enclosing
-                for _, var in s.bindings:
-                    first.setdefault(var, s.id)
+                bound = {v for q in before for _, v in q.bindings}
+                fresh[s.id] = tuple(v for v in s.output_variables() if v not in bound)
                 before.append(s)
             else:
                 walk(s.then_block, before, enclosing + ((s, True),))
@@ -481,18 +495,17 @@ def reference_index(stmts):
                     walk(s.else_block, before, enclosing + ((s, False),))
 
     walk(stmts, [], ())
-    return paths, arms, first
+    return paths, arms, fresh
 
 
 @given(protocol_st(nested=True))
 def test_path_index_matches_reference_walk(drawn):
-    stmts, bound = drawn
+    stmts, _bound = drawn
     p = ProtocolAst(tuple(stmts))
-    paths, arms, first = reference_index(p.statements)
+    paths, arms, fresh = reference_index(p.statements)
     assert {q.id: p.path_queries(q.id) for q in p.queries()} == paths
     assert {q.id: p.arms(q.id) for q in p.queries()} == arms
-    assert {v: p.first_binding(v) for v in bound} == first
-    assert p.first_binding("unbound") is None
+    assert {q.id: p.fresh_variables(q.id) for q in p.queries()} == fresh
     assert [b.id for b in p.branches()] == list(range(1, len(p.branches()) + 1))
 
 

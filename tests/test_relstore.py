@@ -65,6 +65,18 @@ def test_join_tag_mismatch():
         natural_join(r, s)
 
 
+def test_join_int_with_decimal_keeps_left_tag_and_value():
+    r = rel(["a", "b"], ["int", "str"], [(1, "p"), (2, "q"), (None, "r")])
+    s = rel(["a", "c"], ["decimal", "str"], [(1.0, "u"), (2.5, "v"), (None, "w")])
+    joined = natural_join(r, s)
+    assert (joined.columns, joined.tags) == (("a", "b", "c"), ("int", "str", "str"))
+    assert joined.rows == frozenset({(1, "p", "u")})
+    assert all(type(row[0]) is int for row in joined.rows)
+    back = natural_join(s, r)
+    assert back.tags == ("decimal", "str", "str")
+    assert [type(row[0]) for row in back.rows] == [float]
+
+
 def test_project_dedup():
     r = rel(["a", "b"], ["int", "int"], [(1, 2), (1, 3)])
     assert project(r, ["a"]).rows == frozenset({(1,)})
