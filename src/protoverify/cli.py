@@ -194,7 +194,7 @@ def cmd_step(args) -> int:
     agreement = None
     if args.oracle:
         prefix = [(qid, None if answer is spuriousness.NO_ANSWER else answer)
-                  for qid, answer, _ in trace]
+                  for qid, answer, _, _ in trace]
         agreement = _oracle_agreement(report, ast, db, prefix)
     _emit_report(report, args.format, sys.stdout, agreement)
     return EXIT_FINDINGS if report.has_realizable() else EXIT_CLEAN

@@ -1,9 +1,10 @@
 """Graph model of an ontology: class hierarchy, data properties,
 object properties, and equivalence (name/alias) lookup.
 
-The graph is immutable after load. Inheritance edges form a DAG and
-multiple inheritance is permitted. Class-name lookup is case-insensitive
-and may go through an explicit alias table.
+The graph is immutable after load, so each class's ancestors and
+descendants are found once per graph and kept. Inheritance edges form a
+DAG and multiple inheritance is permitted. Class-name lookup is
+case-insensitive and may go through an explicit alias table.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class OntologyGraph:
             self._by_key[key] = node
         self._children: dict[str, set[str]] = {n: set() for n in self.classes}
         self._parents: dict[str, set[str]] = {n: set() for n in self.classes}
+        self._ancestors: dict[str, frozenset[str]] = {}
+        self._descendants: dict[str, frozenset[str]] = {}
         self._validate()
 
     def _validate(self):
@@ -143,29 +146,28 @@ class OntologyGraph:
 
     def ancestors(self, class_name: str) -> frozenset[str]:
         """Proper ancestors (superclasses at any distance)."""
-        start = self._resolve(class_name).name
-        seen: set[str] = set()
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for parent in self._parents[cur]:
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return frozenset(seen)
+        return self._reach(class_name, self._parents, self._ancestors)
 
     def descendants(self, class_name: str) -> frozenset[str]:
         """Proper descendants (subclasses at any distance)."""
+        return self._reach(class_name, self._children, self._descendants)
+
+    def _reach(self, class_name: str, edges: dict[str, set[str]],
+               memo: dict[str, frozenset[str]]) -> frozenset[str]:
+        """The classes reachable from a class over ``edges``, not counting
+        itself, found on the first call for the class and kept in ``memo``."""
         start = self._resolve(class_name).name
-        seen: set[str] = set()
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for child in self._children[cur]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return frozenset(seen)
+        found = memo.get(start)
+        if found is None:
+            seen: set[str] = set()
+            frontier = [start]
+            while frontier:
+                for nxt in edges[frontier.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            found = memo[start] = frozenset(seen)
+        return found
 
     def effective_properties(self, class_name: str) -> frozenset[str]:
         """Own data properties plus those inherited from all ancestors."""

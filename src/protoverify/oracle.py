@@ -9,6 +9,15 @@ against.
 A query whose answer set is empty (or that the server cannot interpret
 at all) binds its fresh variables to null and execution continues.
 
+The DSL has no loops, so an execution that takes the arm of a branch
+that does not hold the target can never arrive at it. Each search first
+walks ``p.statements`` for the branches that enclose the target and
+drops an execution as soon as it takes the other arm of one of them: no
+statement after that branch runs for it, and no later guard or where
+clause is evaluated for it. The step bound thus counts only the queries
+of executions that can still arrive. A target the protocol does not have
+is never arrived at, and its search runs nothing.
+
 A class's extent depends only on the database, and a query's answers
 only on the query, the database and the state of the variables the query
 reads, so both stay valid across searches over one protocol and one
@@ -186,6 +195,10 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
     mutated in place and undone when the search backs out of a choice.
     With ``first_only`` the search stops at the first arrival.
 
+    A branch that encloses the target (``_target_arms``) and evaluates to
+    the arm without it ends the execution there, so every step is a query
+    of an execution that can still arrive.
+
     A query's answer options are memoised by its id and the state of each
     variable it reads (its output and where-clause variables): unbound, or
     bound to a value of a given type, since ``1 == 1.0``. Presence matters
@@ -202,6 +215,9 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
         memo = Memo(p, db)
     elif memo.protocol is not p or memo.db is not db:
         raise ValueError("the memo belongs to another protocol or database")
+    target_arms = _target_arms(p.statements, target)
+    if target_arms is None:
+        return OracleResult((), False)
     prefix = tuple(prefix)
     traces: list[Trace] = []
     steps = 0
@@ -275,6 +291,8 @@ def _search(p: ProtocolAst, db: Database, target: int, bound: int,
                 stack.append((_CHOOSE, st.id, options, 0, rest, saved))
             elif isinstance(st, Branch):
                 outcome = all(eval_condition(c, env) for c in st.conditions)
+                if target_arms.get(st.id, outcome) != outcome:
+                    continue  # this execution has left the target's arm
                 arm = st.then_block if outcome else (st.else_block or ())
                 branches.append((st.id, outcome))
                 stack.append((_LEAVE_BRANCH,))
@@ -294,6 +312,26 @@ def _given(q: Query, answer: dict | None, env: dict) -> tuple:
     return tuple(answer[v] for v in out_vars), {v: answer[v] for v in out_vars}
 
 
+def _target_arms(statements, target: int) -> dict[int, bool] | None:
+    """The arm (True for then, False for else) of each branch enclosing
+    the target query, by branch id; None when no query has the target id.
+    An explicit stack of the blocks entered stands in for recursion."""
+    blocks = [(iter(statements), {})]
+    while blocks:
+        block, arms = blocks[-1]
+        st = next(block, None)
+        if st is None:
+            blocks.pop()
+        elif isinstance(st, Query):
+            if st.id == target:
+                return arms
+        elif isinstance(st, Branch):
+            blocks.append((iter(st.then_block), {**arms, st.id: True}))
+            if st.else_block is not None:
+                blocks.append((iter(st.else_block), {**arms, st.id: False}))
+    return None
+
+
 def _chain(stmts, rest):
     """The statements prepended to the continuation ``rest``."""
     for st in reversed(stmts):
@@ -309,7 +347,10 @@ def is_reachable(p: ProtocolAst, db: Database, target: int,
                  bound: int = DEFAULT_BOUND, memo: Memo | None = None,
                  prefix: Sequence[tuple[int, dict | None]] = ()) -> bool:
     """True iff at least one execution that agrees with the prefix
-    reaches the target query; the search stops at the first arrival."""
+    reaches the target query; the search stops at the first arrival.
+    Executions that leave an arm enclosing the target are dropped at that
+    branch, so the bound counts only queries of executions that can still
+    arrive; BoundExceededError means the bound ran out before any did."""
     result = _search(p, db, target, bound, first_only=True, memo=memo, prefix=prefix)
     if result.truncated and not result.traces:
         raise BoundExceededError(

@@ -120,7 +120,10 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
         local = [(attr, var) for attr, var in non_wildcard if attr in ext.columns]
         if not local:
             # No bound attribute touches this extent; it contributes no
-            # variable columns and cannot constrain anything.
+            # variable columns, only the unit relation (the join's
+            # identity, left out) or, with no row, the empty relation.
+            if not ext.rows:
+                parts.append(Relation((), (), frozenset()))
             continue
         covered.update(var for _, var in local)
         key = next(((attr, lookups[var]) for attr, var in local if var in lookups), None)
@@ -272,10 +275,10 @@ def _check_binding_tags(p: ProtocolAst, db: Database):
                 )
 
 
-def _declared_relation(q: Query, db: Database, rows) -> Relation:
-    """Rows over the query's variables, tagged as the manifest declares."""
+def _declared_relation(q: Query, declared: dict[str, str], rows) -> Relation:
+    """Rows over the query's variables, tagged as the manifest declares
+    (``declared``, from ``_variable_tags``)."""
     out_vars = q.output_variables()
-    declared = _variable_tags(q, db)
     tags = tuple(declared.get(v, "str") for v in out_vars)
     return Relation(out_vars, tags, frozenset(rows), f"answers:{q.id}")
 
@@ -289,7 +292,7 @@ def _answers(q: Query, ctx: VerifyContext, db: Database):
         except (UnresolvableClassError, UncoveredBindingError):
             # The server cannot answer the query; in execution its
             # variables come back null.
-            rel = _declared_relation(q, db, [])
+            rel = _declared_relation(q, _variable_tags(q, db), [])
         # Conditions over previously instantiated variables are not
         # evaluable inside the query alone; apply them per state.
         deferred = [c for c in q.where if not c.variables() <= set(rel.columns)]
@@ -536,9 +539,10 @@ def _verify(p: ProtocolAst, db: Database, conflicts, trace,
 
 def parse_trace(raw, p: ProtocolAst, db: Database):
     """Decode a JSON trace (list of {queryId, answer, branch?} entries)
-    into the internal (queryId, answer-dict | NO_ANSWER, decisions) form.
-    A decision must name a branch of the protocol. Each error about one
-    entry names the entry's index."""
+    into the internal (queryId, answer-dict | NO_ANSWER, decisions,
+    variable tags) form; the tags, from ``_variable_tags``, decode the
+    answer and are carried to the replay. A decision must name a branch
+    of the protocol. Each error about one entry names the entry's index."""
     if not isinstance(raw, list):
         raise InconsistentTraceError("trace must be a list of entries")
     branch_ids = {branch.id for branch in p.branches()}
@@ -560,6 +564,7 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
                 f"trace entry {index} answers query {qid}, which the protocol "
                 f"does not have"
             ) from None
+        tags = _variable_tags(q, db)
         raw_answer = item.get("answer")
         if raw_answer is None:
             answer = NO_ANSWER
@@ -570,7 +575,6 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
             )
         else:
             answer = {}
-            tags = _variable_tags(q, db)
             for var, raw_val in raw_answer.items():
                 tag = tags.get(var, "str")
                 try:
@@ -598,7 +602,7 @@ def parse_trace(raw, p: ProtocolAst, db: Database):
                     f"trace entry {index} decides branch {d['index']}, "
                     f"which the protocol does not have"
                 )
-        entries.append((qid, answer, [(d["index"], d["taken"]) for d in decisions]))
+        entries.append((qid, answer, [(d["index"], d["taken"]) for d in decisions], tags))
     return entries
 
 
@@ -630,7 +634,7 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
     """
     entries = list(trace)
     claims: dict[int, list[tuple[int, bool]]] = {}
-    for index, (_, _, decisions) in enumerate(entries):
+    for index, (_, _, decisions, _) in enumerate(entries):
         for bid, taken in decisions:
             claims.setdefault(bid, []).append((index, taken))
     env: dict[str, object] = {}
@@ -647,19 +651,19 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
         elif isinstance(st, Query):
             if pos >= len(entries):
                 break
-            qid, answer, _ = entries[pos]
+            qid, answer, _, tags = entries[pos]
             if qid != st.id:
                 raise InconsistentTraceError(
                     f"trace entry {pos} answers query {qid} but query "
                     f"{st.id} executes next"
                 )
-            _apply_answer(st, answer, env, db, pos)
+            _apply_answer(st, answer, tags, env, pos)
             pos += 1
             reached.add(st.id)
             rows = [] if answer is NO_ANSWER else [
                 tuple(answer[v] for v in st.output_variables())
             ]
-            answers[st.id] = (_declared_relation(st, db, rows), [])
+            answers[st.id] = (_declared_relation(st, tags, rows), [])
         elif isinstance(st, Branch):
             if not all(v in env for c in st.conditions for v in c.variables()):
                 if pos < len(entries):
@@ -684,7 +688,7 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
         raise InconsistentTraceError(
             f"trace entry {pos} for query {entries[pos][0]} never executes"
         )
-    for index, (_, _, decisions) in enumerate(entries):
+    for index, (_, _, decisions, _) in enumerate(entries):
         for bid, _ in decisions:
             if bid not in decided:
                 raise InconsistentTraceError(
@@ -694,8 +698,9 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
     return decided, reached
 
 
-def _apply_answer(q: Query, answer, env, db: Database, index):
-    """Bind the answer of trace entry ``index`` to query ``q`` in ``env``.
+def _apply_answer(q: Query, answer, tags: dict[str, str], env, index):
+    """Bind the answer of trace entry ``index`` to query ``q`` in ``env``;
+    ``tags`` are the entry's variable tags.
     An unanswered query's output variables that are still unbound come
     back null, as in the oracle."""
     if answer is NO_ANSWER:
@@ -709,7 +714,6 @@ def _apply_answer(q: Query, answer, env, db: Database, index):
         raise InconsistentTraceError(
             f"{entry}: answer must bind exactly {sorted(expected)}"
         )
-    tags = _variable_tags(q, db)
     for var, val in answer.items():
         if val is not None and var in tags:
             if not values.tags_comparable(values.tag_of(val), tags[var]):

@@ -25,6 +25,7 @@ from protoverify.relstore import (
 from protoverify.protocol import Condition, Lit, Var
 from protoverify.spuriousness import (
     NO_ANSWER,
+    _variable_tags,
     step_verify,
     verify_all,
 )
@@ -245,8 +246,8 @@ def _away_trace(inst):
             if decision == conflict_arm:
                 return None
             done = list(entries)
-            qid, answer, _ = done[-1]
-            done[-1] = (qid, answer, [(branch.id, decision)])
+            qid, answer, _, tags = done[-1]
+            done[-1] = (qid, answer, [(branch.id, decision)], tags)
             return done
         q = top[i]
         answers = _answers(q, env, db, {})
@@ -259,7 +260,7 @@ def _away_trace(inst):
                         env2[v] = None
             else:
                 env2.update(a)
-            found = rec(i + 1, env2, entries + [(q.id, a, [])])
+            found = rec(i + 1, env2, entries + [(q.id, a, [], _variable_tags(q, db))])
             if found is not None:
                 return found
         return None

@@ -676,6 +676,56 @@ def test_verify_db_joins_int_with_decimal_binding(capsys, tmp_path):
         assert out.endswith(": realizable (witness {'x': 1}) [oracle agrees: True]\n")
 
 
+def write_instance(tmp_path, classes, tables, protocol):
+    """Server, data directory and protocol files for ``classes`` (name ->
+    int attributes) and ``tables`` (name -> rows)."""
+    server = tmp_path / "server.json"
+    server.write_text(json.dumps({"classes": [
+        {"name": name, "dataProperties": attrs} for name, attrs in classes.items()
+    ]}))
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "manifest.json").write_text(json.dumps(
+        {name: {a: "int" for a in attrs} for name, attrs in classes.items()}))
+    for name, rows in tables.items():
+        lines = [",".join(classes[name])] + [",".join(map(str, row)) for row in rows]
+        (db / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    path = tmp_path / "p.pv"
+    path.write_text(protocol)
+    return ["--server", str(server), "--protocol", str(path), "--db", str(db)]
+
+
+def test_verify_db_oracle_ignores_executions_that_left_the_conflict_arm(capsys, tmp_path):
+    """Guard 2 compares an int with a string, which raises. Every
+    execution that evaluates it has already left conflict 2's arm, so the
+    oracle never evaluates it and agrees with the spurious verdict."""
+    args = write_instance(
+        tmp_path, {"Base": ["a1", "a4"]}, {"Base": [(0, 2)]},
+        "get (a1: x) from Base; if (x = 7) { get (ghost: w) from Missing; }\n"
+        "if (x = 'p') { get (a4: y) from Base; }\n",
+    )
+    expected = "query 2: spurious (assignable set emptied at ['x'])"
+    assert run(capsys, "verify-db", *args) == (0, expected + "\n", "")
+    assert run(capsys, "verify-db", *args, "--oracle") == (
+        0, expected + " [oracle agrees: True]\n", "")
+
+
+@pytest.mark.parametrize("b_rows, expected", [
+    ([], "query 2: spurious (assignable set emptied at ['x']) [oracle agrees: True]\n"),
+    ([(5,)], "query 2: realizable (witness {'x': 1}) [oracle agrees: True]\n"),
+], ids=["empty", "one-row"])
+def test_verify_db_class_binding_no_variable_joins_by_its_extent(capsys, tmp_path,
+                                                                  b_rows, expected):
+    """``B`` binds no variable of query 1, so it contributes no column;
+    its extent still empties the answers when it has no row."""
+    args = write_instance(
+        tmp_path, {"A": ["a"], "B": ["b"]}, {"A": [(1,), (2,)], "B": b_rows},
+        "get (a: x) from A, B; if (x = 1) { get (ghost: w) from Missing; }\n",
+    )
+    code, out, err = run(capsys, "verify-db", *args, "--oracle")
+    assert (code, out, err) == (1 if b_rows else 0, expected, "")
+
+
 def test_verify_db_oracle_on_long_protocol(capsys, tmp_path):
     """The oracle walks a 1,200-query protocol without recursing per
     statement, and stops at the first execution reaching the conflict."""

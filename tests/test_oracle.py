@@ -170,20 +170,86 @@ def _outcome(fn) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-ORACLE_DIGEST = "e907f7f07fcfedad6bd0c9aee23234c5ccfe356ed13ade86e004774f9aa74dcb"
+def _digest(bounds) -> str:
+    """SHA-256 over every trace, in order, and every reachability outcome
+    or exception of the digest cases, for every query and each bound."""
+    h = hashlib.sha256()
+    for ast, db in _digest_cases():
+        for q in ast.queries():
+            for bound in bounds:
+                h.update(_outcome(
+                    lambda: enumerate_reaching_traces(ast, db, q.id, bound)).encode())
+                h.update(_outcome(lambda: is_reachable(ast, db, q.id, bound)).encode())
+    return h.hexdigest()
+
+
+ORACLE_DIGEST = "a64c40d944b39a903faa9820d51d1eec41632039b2d890308eb414d701b1de0d"
+FULL_BOUND_DIGEST = "e2a49b9eeb438dc108415d1f41bce632c603f2f16ca85af227e792972ac298b3"
 
 
 def test_oracle_outcomes_match_golden_digest():
     """Every trace, in order, and every reachability outcome or exception
     over a fixed instance set, every query and several step bounds."""
-    h = hashlib.sha256()
+    assert _digest((1, 2, 3, 4, 5, 10**6)) == ORACLE_DIGEST
+
+
+def test_full_bound_outcomes_match_golden_digest():
+    """At the default bound no search is cut, so dropping the executions
+    that leave the target's arm changes no trace and no outcome."""
+    assert _digest((10**6,)) == FULL_BOUND_DIGEST
+
+
+def test_bounded_search_agrees_with_the_full_search():
+    """A bounded search that returns a reachability answer returns the
+    full-bound one. A bounded enumeration finds a prefix of the full
+    enumeration's traces, all of them when it is not cut, and raises
+    only what the full enumeration raises."""
+    decided = cut = 0
     for ast, db in _digest_cases():
         for q in ast.queries():
-            for bound in (1, 2, 3, 4, 5, 10**6):
-                h.update(_outcome(
-                    lambda: enumerate_reaching_traces(ast, db, q.id, bound)).encode())
-                h.update(_outcome(lambda: is_reachable(ast, db, q.id, bound)).encode())
-    assert h.hexdigest() == ORACLE_DIGEST
+            full = _outcome(lambda: is_reachable(ast, db, q.id))
+            try:
+                everything = enumerate_reaching_traces(ast, db, q.id)
+            except Exception as exc:  # the exception is part of the outcome
+                everything = f"{type(exc).__name__}: {exc}"
+            for bound in (1, 2, 3, 4, 5):
+                reachable = _outcome(lambda: is_reachable(ast, db, q.id, bound))
+                if not reachable.startswith("BoundExceededError"):
+                    assert reachable == full
+                    decided += 1
+                try:
+                    result = enumerate_reaching_traces(ast, db, q.id, bound)
+                except Exception as exc:
+                    assert f"{type(exc).__name__}: {exc}" == everything
+                    continue
+                if result.truncated:
+                    cut += 1
+                    if isinstance(everything, str):
+                        continue
+                    n = len(result.traces)
+                    assert result.traces == everything.traces[:n]
+                else:
+                    assert result == everything
+    assert decided and cut
+
+
+def test_search_drops_executions_that_leave_the_target_arm():
+    """Query 1 answers every row; each answer turns away from query 2's
+    arm, so the two queries after the branch never run: one step decides
+    that query 2 is unreachable. A target the protocol does not have runs
+    nothing."""
+    db = _memo_database(random.Random(1))
+    ast = parse_protocol(
+        "get (a1: x) from Base;\n"
+        "if (x = 99) { get (ghost: w) from Missing; }\n"
+        "get (a1: y) from Base;\n"
+        "get (a4: z) from Base;\n")
+    answers = oracle._answers(ast.query(1), {}, db, {})
+    assert len(answers) > 1
+    assert is_reachable(ast, db, 2, bound=len(answers) + 1) is False
+    assert is_reachable(ast, db, 2, bound=1) is False
+    assert enumerate_reaching_traces(ast, db, 2, bound=1) == oracle.OracleResult((), False)
+    assert enumerate_reaching_traces(ast, db, 5, bound=1) == oracle.OracleResult((), False)
 
 
 def _read_state(q, env) -> tuple:

@@ -593,7 +593,8 @@ def test_trace_errors_name_their_entry(protocol1, pub_server, pub_db_realizable,
 def test_answer_of_wrong_tag_names_its_entry(protocol1, pub_server, pub_db_realizable):
     """Values decoded by ``parse_trace`` always carry their column's tag;
     a trace built directly may not."""
-    trace = [(1, {"t1": "ManualName", "a": "Knuth", "d1": 5}, [])]
+    trace = [(1, {"t1": "ManualName", "a": "Knuth", "d1": 5}, [],
+              {"t1": "str", "a": "str", "d1": "date"})]
     with pytest.raises(InconsistentTraceError) as exc:
         step_verify(protocol1, pub_server, pub_db_realizable, [], trace)
     assert str(exc.value) == (
@@ -825,7 +826,7 @@ def _engine_cases():
             yield db.ontology, ast, db, 2 if seed < 5 else 0
 
 
-ENGINE_DIGEST = "c5f6aa1e182d8094b73c055481f5f910c617f85141a1de8a1725b2d109cf13ac"
+ENGINE_DIGEST = "1386aafbb4e080ef710ad7f62b6ec141dfeaadfdde69f14e73ef565900016439"
 
 
 def test_engine_outcomes_match_golden_digest():

@@ -14,6 +14,8 @@ SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_dige
 PINNED = {
     "deep-path": "deep-path 3c6cae41cf055961e3c2d969b8dcda26bf5672d15f98ec49af5cbf550265cc67"
                  " (4 calls; escaped: none)",
+    "long-protocol": "long-protocol fa7633fc8ca2bb12fda34618d71e1f177fe59dbc28583a09bdcf72e16dbd86ff"
+                     " (4 calls; escaped: none)",
     "step-replay": "step-replay d2b986a5d4e6f497165382b9b0443ddf684ac8771ed371e2fee3a1ab56e3a3c9"
                    " (78 calls; escaped: none)",
 }
