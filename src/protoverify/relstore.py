@@ -1,13 +1,13 @@
 """In-memory relational store and algebra kernel.
 
 One table per non-abstract ontology class; relations are immutable
-values with set semantics (no duplicate rows). The algebra (natural
-join, projection, selection) combines the per-class parts of protocol
-queries' answer relations. Selection compiles each condition once into
-a predicate over row tuples (``protocol.compile_condition``). A relation
-the algebra builds gets its schema checked but not the arity of every
-row, because its rows come from rows of known arity; a relation built
-directly, as loaders and callers do, gets every check.
+values with set semantics (no duplicate rows). The algebra (class
+extents, natural join, projection, selection) defines a protocol
+query's answer relation; the spuriousness engine reads the same answers
+from the tables directly, through each class's resolved contributing
+tables (``class_source``) and per-table hash indexes (``table_index``),
+and the tests hold it to the algebra. Selection compiles each condition
+once into a predicate over row tuples (``protocol.compile_condition``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import os
 from dataclasses import dataclass
 
@@ -45,24 +44,15 @@ class Relation:
     name: str = ""
 
     def __post_init__(self):
-        _check_schema(self.columns, self.tags, self.name)
+        if len(self.columns) != len(set(self.columns)):
+            raise SchemaError(f"duplicate column in relation {self.name!r}")
+        if len(self.columns) != len(self.tags):
+            raise SchemaError("columns and tags must align")
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise SchemaError(
                     f"row arity {len(row)} does not match schema of {self.name!r}"
                 )
-
-    @classmethod
-    def _derived(cls, columns, tags, rows, name="") -> "Relation":
-        """A relation the algebra built from rows of known arity: the
-        schema is checked, the rows are not."""
-        _check_schema(columns, tags, name)
-        r = object.__new__(cls)
-        object.__setattr__(r, "columns", columns)
-        object.__setattr__(r, "tags", tags)
-        object.__setattr__(r, "rows", rows)
-        object.__setattr__(r, "name", name)
-        return r
 
     def index(self, column: str) -> int:
         try:
@@ -77,13 +67,6 @@ class Relation:
 
     def sorted_rows(self) -> list[tuple]:
         return sorted(self.rows, key=lambda r: tuple(values.sort_key(v) for v in r))
-
-
-def _check_schema(columns, tags, name):
-    if len(columns) != len(set(columns)):
-        raise SchemaError(f"duplicate column in relation {name!r}")
-    if len(columns) != len(tags):
-        raise SchemaError("columns and tags must align")
 
 
 def relation(name, columns, tags, rows) -> Relation:
@@ -112,27 +95,17 @@ def natural_join(r1: Relation, r2: Relation) -> Relation:
     i1 = [r1.index(c) for c in shared]
     i2 = [r2.index(c) for c in shared]
     iextra = [r2.index(c) for c in extra]
-
+    # With no shared column every key is (), so every pair matches.
     buckets: dict[tuple, list[tuple]] = {}
     for row in r2.rows:
         key = tuple(row[i] for i in i2)
-        if any(v is None for v in key):
-            continue
-        buckets.setdefault(key, []).append(row)
-
-    out = set()
-    if shared:
-        for row in r1.rows:
-            key = tuple(row[i] for i in i1)
-            if any(v is None for v in key):
-                continue
-            for other in buckets.get(key, ()):
-                out.add(row + tuple(other[i] for i in iextra))
-    else:
-        for row in r1.rows:
-            for other in r2.rows:
-                out.add(row + tuple(other[i] for i in iextra))
-    return Relation._derived(out_columns, out_tags, frozenset(out))
+        if None not in key:
+            buckets.setdefault(key, []).append(tuple(row[i] for i in iextra))
+    out = frozenset(
+        row + other for row in r1.rows
+        for other in buckets.get(tuple(row[i] for i in i1), ())
+    )
+    return Relation(out_columns, out_tags, out)
 
 
 def project(r: Relation, cols) -> Relation:
@@ -140,11 +113,8 @@ def project(r: Relation, cols) -> Relation:
     cols = tuple(cols)
     idx = [r.index(c) for c in cols]
     tags = tuple(r.tags[i] for i in idx)
-    if len(idx) > 1:
-        rows = frozenset(map(operator.itemgetter(*idx), r.rows))
-    else:
-        rows = frozenset(tuple(row[i] for i in idx) for row in r.rows)
-    return Relation._derived(cols, tags, rows, r.name)
+    rows = frozenset(tuple(row[i] for i in idx) for row in r.rows)
+    return Relation(cols, tags, rows, r.name)
 
 
 def select(r: Relation, conds) -> Relation:
@@ -154,14 +124,9 @@ def select(r: Relation, conds) -> Relation:
     for cond in conds:
         for var in cond.variables():
             r.index(var)  # raises UnknownColumnError
-    if not conds:
-        return r
     preds = [compile_condition(c, r.columns) for c in conds]
-    if len(preds) == 1:
-        rows = frozenset(filter(preds[0], r.rows))
-    else:
-        rows = frozenset(row for row in r.rows if all(pred(row) for pred in preds))
-    return Relation._derived(r.columns, r.tags, rows, r.name)
+    rows = frozenset(row for row in r.rows if all(pred(row) for pred in preds))
+    return Relation(r.columns, r.tags, rows, r.name)
 
 
 # --- database ---
@@ -170,8 +135,10 @@ class Database:
     """Tables for exactly the non-abstract classes of a server ontology.
 
     Neither the tables nor the ontology change after construction, so
-    class extents are built once per instance (see ``class_extent``), and
-    so is each hash index on an extent's attribute (see ``extent_index``).
+    each class's contributing tables and their columns are resolved once
+    per instance (see ``class_source``), and so is each class extent (see
+    ``class_extent``) and each hash index on a table's attribute (see
+    ``table_index``).
     """
 
     def __init__(self, tables: dict[str, Relation], ontology: OntologyGraph,
@@ -179,8 +146,9 @@ class Database:
         self.tables = dict(tables)
         self.ontology = ontology
         self.property_tags = dict(property_tags)
+        self.sources: dict[str, ClassSource] = {}
         self.extents: dict[str, Relation] = {}
-        self.indexes: dict[tuple[str, str], dict[object, frozenset[tuple]]] = {}
+        self.indexes: dict[tuple[str, str], dict[object, list[tuple]]] = {}
 
 
 def load_database(source_dir, server: OntologyGraph) -> Database:
@@ -287,50 +255,77 @@ def _load_table(path, cls_name, expected_cols, property_tags) -> Relation:
     return Relation(columns, tags, frozenset(rows), cls_name)
 
 
-def class_extent(db: Database, class_name: str) -> Relation:
-    """The relation a query ``from C`` scans: the class's own table
-    unioned with all non-abstract descendants' tables, projected onto the
-    class's effective properties. Built once per database and class."""
+@dataclass(frozen=True)
+class ClassSource:
+    """Where a class's extent comes from: the class's effective
+    properties, sorted, each with its position in that order and its tag,
+    and each contributing table's name with the position in it of each of
+    those properties."""
+
+    name: str
+    columns: dict[str, int]
+    tags: tuple[str, ...]
+    tables: tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def class_source(db: Database, class_name: str) -> ClassSource:
+    """A class's contributing tables and columns, resolved once per
+    database and class."""
     node = db.ontology.find_match(class_name)
     if node is None:
         raise NoExtentError(f"unknown class {class_name!r}")
-    if node.name in db.extents:
-        return db.extents[node.name]
-    columns = tuple(sorted(db.ontology.effective_properties(node.name)))
-    contributors = extent_tables(db, node.name)
-    if not contributors:
-        raise NoExtentError(
-            f"class {node.name!r} has no table and no non-abstract descendant"
+    source = db.sources.get(node.name)
+    if source is None:
+        columns = tuple(sorted(db.ontology.effective_properties(node.name)))
+        contributors = extent_tables(db, node.name)
+        if not contributors:
+            raise NoExtentError(
+                f"class {node.name!r} has no table and no non-abstract descendant"
+            )
+        tags = tuple(db.property_tags[c] for c in columns)
+        tables = tuple(
+            (name, tuple(db.tables[name].index(c) for c in columns))
+            for name in contributors
         )
-    tags = tuple(db.property_tags[c] for c in columns)
-    rows = set()
-    for table_name in contributors:
-        table = db.tables[table_name]
-        idx = [table.index(c) for c in columns]
-        for row in table.rows:
-            rows.add(tuple(row[i] for i in idx))
-    extent = Relation(columns, tags, frozenset(rows), node.name)
-    db.extents[node.name] = extent
+        source = db.sources[node.name] = ClassSource(
+            node.name, {c: j for j, c in enumerate(columns)}, tags, tables
+        )
+    return source
+
+
+def class_extent(db: Database, class_name: str) -> Relation:
+    """The relation a query ``from C`` scans: the class's own table
+    unioned with all non-abstract descendants' tables, projected onto the
+    class's effective properties. Built once per database and class; the
+    algebra's reference for the engine, which reads the tables directly."""
+    source = class_source(db, class_name)
+    extent = db.extents.get(source.name)
+    if extent is None:
+        rows = {
+            tuple(row[i] for i in positions)
+            for name, positions in source.tables
+            for row in db.tables[name].rows
+        }
+        extent = db.extents[source.name] = Relation(
+            tuple(source.columns), source.tags, frozenset(rows), source.name
+        )
     return extent
 
 
-def extent_index(db: Database, class_name: str, attribute: str) -> dict:
-    """The rows of a class's extent grouped by their value of one
-    attribute, nulls left out: a lookup finds the rows whose value equals
-    the key, as ``=`` compares them (an int key finds an equal decimal).
-    Built once per database, class name and attribute."""
-    key = (class_name, attribute)
+def table_index(db: Database, table_name: str, attribute: str) -> dict:
+    """The rows of a table grouped by their value of one attribute, nulls
+    left out: a lookup finds the rows whose value equals the key, as ``=``
+    compares them (an int key finds an equal decimal). Built once per
+    database, table and attribute."""
+    key = (table_name, attribute)
     index = db.indexes.get(key)
     if index is None:
-        extent = class_extent(db, class_name)
-        i = extent.index(attribute)
-        groups: dict[object, list[tuple]] = {}
-        for row in extent.rows:
+        table = db.tables[table_name]
+        i = table.index(attribute)
+        index = db.indexes[key] = {}
+        for row in table.rows:
             if row[i] is not None:
-                groups.setdefault(row[i], []).append(row)
-        index = db.indexes[key] = {
-            value: frozenset(rows) for value, rows in groups.items()
-        }
+                index.setdefault(row[i], []).append(row)
     return index
 
 

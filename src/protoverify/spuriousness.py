@@ -11,31 +11,23 @@ the database can give it, a state without a matching answer continues
 with null bindings, and each branch on the path must evaluate to the arm
 the path takes. States are projected onto the variables that a later
 path query or a guard still reads, keeping the smallest full row behind
-each projected state for the witness, and each query finds a state's
-answers through a hash index on the variables they share. Answers that
-agree on the kept new columns lead a state to one projected state, so
-each state meets only the least answer per kept part, tabled once per
-step and probe: a step costs answers + states x kept parts, not
-states x answers (``_extend`` says why that is exact). Where
-conditions over earlier variables are compiled once per extension step,
-and branch guards once per decision, into predicates over the state and
-answer tuples (``protocol.compile_condition``), so no row is turned into
-a dict.
+each projected state for the witness, and each state meets only the
+least answer per kept part in its bucket (``_extend`` says why that is
+exact). Where conditions over earlier variables and branch guards are
+compiled into predicates over tuples (``protocol.compile_condition``).
 
-One verification call shares its work across conflicts. A query's
-answer relation depends only on the query and the database, so the call
-builds it at most once. An extension step depends only on the state set
-it extends, the query and the bound columns it keeps live, so the call
-computes each distinct step once, and conflicts whose paths share a
-prefix share its steps; each conflict still keeps only its own live
-columns, so no state set is larger than that conflict alone needs. A
-``var = literal`` key lookup reads the matching rows from a hash index
-on the attribute, built once per database (``relstore.extent_index``),
-unless the manifest tags allow one of the query's where conditions to
-raise.
+One verification call shares its work across conflicts. Each path
+query's answers are read once per call by an answer plan
+(``_answer_rows``): one pass over the tables behind each class
+reference, or over the rows a per-table index finds for a
+``var = literal`` key lookup when no where condition can raise, with no
+class extent and no relation in between. They are bucketed once, by the
+variables the query shares with earlier ones. Each distinct extension
+step is computed once, and conflicts whose paths share a prefix share
+its steps; each conflict keeps only its own live columns.
 
-Step mode replays a conversation prefix: each answered query's answer
-relation is its one answer from the prefix, and conflicts behind branch
+Step mode replays a conversation prefix: each answered query's answers
+are its one answer from the prefix, and conflicts behind branch
 decisions already taken are pruned. Static verification is the same
 with no prefix.
 """
@@ -68,15 +60,7 @@ from .protocol import (
     condition_may_raise,
     eval_condition,
 )
-from .relstore import (
-    Database,
-    Relation,
-    class_extent,
-    extent_index,
-    natural_join,
-    project,
-    select,
-)
+from .relstore import Database, Relation, class_source, table_index
 
 CONJUNCTION = "conjunction"
 DISJUNCTION = "disjunction"
@@ -88,24 +72,38 @@ REALIZABLE = "realizable"
 NO_ANSWER = object()
 
 
-# --- answer relations ---
+# --- answer plans ---
 
 def generate_assignable_set(q: Query, db: Database) -> Relation:
-    """The relation of tuples the evaluator could answer for a query.
+    """The relation of tuples the evaluator could answer for a query
+    (see ``_answer_rows``)."""
+    columns, tags, rows = _answer_rows(q, db)
+    return Relation(columns, tags, frozenset(rows))
 
-    Each class reference contributes its extent's bound attribute
-    columns as the query's variables, read in one pass; the parts are
-    joined, filtered by the where conditions over the query's own
-    variables, and projected onto those variables. A ``var = literal``
-    key lookup reads only the extent rows that an index on the attribute
-    finds for the literal, when none of those where conditions can raise.
+
+def _answer_rows(q: Query, db: Database):
+    """(output variables, their tags, set of answer rows) of a query, as
+    ``class_extent``, ``natural_join``, ``select`` and ``project`` give
+    them, with the same errors, but read from the tables with no
+    relation in between.
+
+    Each class reference contributes its tables' rows over its bound
+    attributes' variables (``_part_rows``); one that binds no variable
+    contributes the unit row, or no row when its tables are empty. The
+    parts are joined on their shared variables (null never matches, and
+    a variable keeps the value and tag of the first part binding it),
+    filtered by the where conditions over the query's own variables and
+    put in output-variable order.
     """
-    out_vars = list(q.output_variables())
+    out_vars = q.output_variables()
     non_wildcard = [(attr, var) for attr, var in q.bindings if var is not None]
     lookups = _key_lookups(q, db)
-
-    parts: list[Relation] = []
-    covered: set[str] = set()
+    # The joined variables in order, with their tags and rows (a query
+    # with only wildcard bindings has the unit row); a tag mismatch is
+    # raised after the errors of every class reference.
+    tags: dict[str, str] = {}
+    rows: set[tuple] = {()}
+    mismatch = None
     for ref in q.class_refs:
         terminal = ref.names[-1]
         node = db.ontology.find_match(terminal)
@@ -114,66 +112,91 @@ def generate_assignable_set(q: Query, db: Database) -> Relation:
                 f"query {q.id}: class {terminal!r} does not resolve"
             )
         try:
-            ext = class_extent(db, node.name)
+            source = class_source(db, node.name)
         except NoExtentError as exc:
             raise UnresolvableClassError(str(exc)) from exc
-        local = [(attr, var) for attr, var in non_wildcard if attr in ext.columns]
-        if not local:
-            # No bound attribute touches this extent; it contributes no
-            # variable columns, only the unit relation (the join's
-            # identity, left out) or, with no row, the empty relation.
-            if not ext.rows:
-                parts.append(Relation((), (), frozenset()))
-            continue
-        covered.update(var for _, var in local)
-        key = next(((attr, lookups[var]) for attr, var in local if var in lookups), None)
-        rows = ext.rows if key is None else (
-            extent_index(db, ext.name, key[0]).get(key[1], frozenset())
-        )
-        parts.append(_class_part(ext, local, rows))
+        # Each variable's attribute positions in the source, and the key
+        # lookup (attribute, literal) that reads it, if any.
+        at: dict[str, list[int]] = {}
+        key = None
+        for attr, var in non_wildcard:
+            if attr in source.columns:
+                at.setdefault(var, []).append(source.columns[attr])
+                if key is None and var in lookups:
+                    key = attr, lookups[var]
+        bound = [j for js in at.values() for j in js]
+        if len(set(bound)) != len(bound):
+            raise SchemaError(f"duplicate column in relation {source.name!r}")
+        for var, tag in tags.items():
+            if var in at and not values.tags_comparable(tag, source.tags[at[var][0]]):
+                mismatch = mismatch or (
+                    f"shared column {var!r} has tags {tag!r} and {source.tags[at[var][0]]!r}"
+                )
+        part = _part_rows(db, source, at, key)
+        if rows == {()}:
+            rows = part
+        else:
+            joined = tuple(tags)
+            left_at = [joined.index(v) for v in at if v in tags]
+            right_at = [i for i, v in enumerate(at) if v in tags]
+            extra_at = [i for i, v in enumerate(at) if v not in tags]
+            buckets: dict[tuple, list[tuple]] = {}
+            for row in part:
+                probe = tuple(row[i] for i in right_at)
+                if None not in probe:
+                    buckets.setdefault(probe, []).append(tuple(row[i] for i in extra_at))
+            rows = {row + extra for row in rows
+                    for extra in buckets.get(tuple(row[i] for i in left_at), ())}
+        for var, js in at.items():
+            tags.setdefault(var, source.tags[js[0]])
 
-    missing = [var for _, var in non_wildcard if var not in covered]
+    missing = [var for _, var in non_wildcard if var not in tags]
     if missing:
         raise UncoveredBindingError(
             f"query {q.id}: no class answers variables {sorted(set(missing))}"
         )
+    if mismatch:
+        raise TagMismatchError(mismatch)
+    columns = tuple(tags)
+    preds = [compile_condition(c, columns) for c in q.where if c.variables() <= tags.keys()]
+    if len(preds) == 1:
+        rows = set(filter(preds[0], rows))
+    elif preds:
+        rows = {row for row in rows if all(pred(row) for pred in preds)}
+    if columns != out_vars:
+        rows = set(map(operator.itemgetter(*map(columns.index, out_vars)), rows))
+    return out_vars, tuple(tags[v] for v in out_vars), rows
 
-    # A query with only wildcard bindings contributes the unit relation.
-    t = parts[0] if parts else Relation((), (), frozenset([()]))
-    for part in parts[1:]:
-        t = natural_join(t, part)
-    applicable = [c for c in q.where if c.variables() <= set(t.columns)]
-    return project(select(t, applicable), out_vars)
 
-
-def _class_part(ext: Relation, local, rows) -> Relation:
-    """One class reference's rows over its variables, in one pass over
-    ``rows`` (the extent's, or those a key lookup found). Two attributes
-    bound to one variable inside a single class act as an equality
-    constraint; nulls never satisfy it."""
-    attrs = [attr for attr, _ in local]
-    if len(set(attrs)) != len(attrs):
-        raise SchemaError(f"duplicate column in relation {ext.name!r}")
-    positions: dict[str, list[int]] = {}
-    for attr, var in local:
-        positions.setdefault(var, []).append(ext.index(attr))
-    firsts = [idxs[0] for idxs in positions.values()]
-    equal = [(idxs[0], i) for idxs in positions.values() for i in idxs[1:]]
-    if equal:
-        rows = [row for row in rows
-                if all(row[f] is not None and row[i] == row[f] for f, i in equal)]
-    if len(firsts) > 1:
-        out = frozenset(map(operator.itemgetter(*firsts), rows))
-    else:
-        out = frozenset((row[firsts[0]],) for row in rows)
-    tags = tuple(ext.tags[i] for i in firsts)
-    return Relation._derived(tuple(positions), tags, out, ext.name)
+def _part_rows(db: Database, source, at, key) -> set[tuple]:
+    """A class reference's rows over its variables (``at`` maps each to
+    its attributes' positions in ``source``), in one pass over each
+    table's rows or over those its per-table index finds for ``key``.
+    Two attributes bound to one variable must hold one non-null value;
+    with no variable, a table with a row gives the unit row."""
+    rows: set[tuple] = set()
+    for name, positions in source.tables:
+        firsts = [positions[js[0]] for js in at.values()]
+        equal = [(positions[js[0]], positions[j]) for js in at.values() for j in js[1:]]
+        found = db.tables[name].rows if key is None else (
+            table_index(db, name, key[0]).get(key[1], ())
+        )
+        if equal:
+            found = [row for row in found
+                     if all(row[f] is not None and row[i] == row[f] for f, i in equal)]
+        if len(firsts) > 1:
+            rows.update(map(operator.itemgetter(*firsts), found))
+        elif firsts:
+            rows.update((row[firsts[0]],) for row in found)
+        elif found:
+            rows.add(())
+    return rows
 
 
 def _key_lookups(q: Query, db: Database) -> dict[str, object]:
     """Variable -> literal for the query's ``var = literal`` conditions,
     or nothing when the manifest tags allow one of its where conditions
-    over its own variables to raise. Then the extent is scanned, so the
+    over its own variables to raise. Then the tables are scanned, so the
     error comes from the same row as it would without the lookup."""
     lookups: dict[str, object] = {}
     for cond in q.where:
@@ -190,9 +213,9 @@ def _key_lookups(q: Query, db: Database) -> dict[str, object]:
         if var is not None:
             var_tags.setdefault(var, set()).add(db.property_tags.get(attr))
     # Conditions over earlier variables are applied per state, not here.
-    if any(cond.variables() <= var_tags.keys() and condition_may_raise(cond, var_tags)
-           for cond in q.where):
-        return {}
+    for cond in q.where:
+        if cond.variables() <= var_tags.keys() and condition_may_raise(cond, var_tags):
+            return {}
     return lookups
 
 
@@ -202,17 +225,16 @@ def _key_lookups(q: Query, db: Database) -> dict[str, object]:
 class VerifyContext:
     """State confined to one verification call.
 
-    ``answers`` maps a query id to the query's answer relation and the
-    where conditions left for per-state evaluation: a replayed trace's
-    answer as one row (none for an unanswered entry) with no conditions
-    left, otherwise the database's, built on first use. ``steps`` maps
-    (state set, query id, kept columns) to the state set that extension
-    step yields, so conflicts whose paths share a prefix share its
-    steps. None of it outlives the call: one protocol may be verified
-    against several databases.
+    ``answers`` maps a query id to the query's ``Answers``: a replayed
+    trace's answer as one row (none for an unanswered entry) with no
+    conditions left, otherwise the database's, built on first use.
+    ``steps`` maps (state set, query id, kept columns) to the state set
+    that extension step yields, so conflicts whose paths share a prefix
+    share its steps. None of it outlives the call: one protocol may be
+    verified against several databases.
     """
 
-    answers: dict[int, tuple[Relation, list[Condition]]] = field(default_factory=dict)
+    answers: dict[int, "Answers"] = field(default_factory=dict)
     steps: dict[tuple, "ReachingStates"] = field(default_factory=dict)
 
 
@@ -275,29 +297,54 @@ def _check_binding_tags(p: ProtocolAst, db: Database):
                 )
 
 
-def _declared_relation(q: Query, declared: dict[str, str], rows) -> Relation:
-    """Rows over the query's variables, tagged as the manifest declares
-    (``declared``, from ``_variable_tags``)."""
-    out_vars = q.output_variables()
-    tags = tuple(declared.get(v, "str") for v in out_vars)
-    return Relation(out_vars, tags, frozenset(rows), f"answers:{q.id}")
+@dataclass
+class Answers:
+    """A path query's answers in one call.
+
+    ``columns`` are the query's output variables. ``shared`` holds the
+    positions of those an earlier path query binds, and ``buckets`` maps
+    the values at those positions to the answer rows carrying them; an
+    answer with a null there meets no state and is left out.
+    ``deferred`` lists the where conditions that read earlier
+    variables, left for per-state evaluation.
+    """
+
+    columns: tuple[str, ...]
+    shared: tuple[int, ...]
+    buckets: dict[tuple, list[tuple]]
+    deferred: list[Condition]
 
 
-def _answers(q: Query, ctx: VerifyContext, db: Database):
-    """The answers a path query can receive, and its where conditions
-    that read earlier variables, built at most once per call."""
-    if q.id not in ctx.answers:
+def _bucketed(columns, rows, fresh, deferred) -> Answers:
+    """``Answers`` over ``rows``, bucketed by the columns not in ``fresh``."""
+    shared = tuple(i for i, v in enumerate(columns) if v not in fresh)
+    if not shared:
+        return Answers(columns, shared, {(): list(rows)} if rows else {}, deferred)
+    buckets: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        probe = tuple(row[i] for i in shared)
+        if None not in probe:
+            buckets.setdefault(probe, []).append(row)
+    return Answers(columns, shared, buckets, deferred)
+
+
+def _answers(q: Query, fresh: tuple[str, ...], ctx: VerifyContext,
+             db: Database) -> Answers:
+    """The answers a path query can receive, built at most once per call
+    and bucketed by its output variables that are not ``fresh``."""
+    answers = ctx.answers.get(q.id)
+    if answers is None:
         try:
-            rel = generate_assignable_set(q, db)
+            columns, _tags, rows = _answer_rows(q, db)
         except (UnresolvableClassError, UncoveredBindingError):
             # The server cannot answer the query; in execution its
             # variables come back null.
-            rel = _declared_relation(q, _variable_tags(q, db), [])
+            columns, rows = q.output_variables(), ()
         # Conditions over previously instantiated variables are not
         # evaluable inside the query alone; apply them per state.
-        deferred = [c for c in q.where if not c.variables() <= set(rel.columns)]
-        ctx.answers[q.id] = (rel, deferred)
-    return ctx.answers[q.id]
+        deferred = [c for c in q.where if not c.variables() <= set(columns)]
+        answers = ctx.answers[q.id] = _bucketed(columns, rows, fresh, deferred)
+    return answers
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,21 +430,15 @@ def _extend(states: ReachingStates, q: Query, fresh: tuple[str, ...],
     reduce the survivors by the same rule. Either way an extension's
     sort key is computed once per step.
     """
-    answers, deferred = _answers(q, ctx, db)
-    a_cols = answers.columns
-    shared = [i for i, v in enumerate(a_cols) if v not in fresh]
+    answers = _answers(q, fresh, ctx, db)
+    a_cols, buckets = answers.columns, answers.buckets
     fresh_at = [i for i, v in enumerate(a_cols) if v in fresh]
-    probe_at = [states.live.index(a_cols[i]) for i in shared]
-    buckets: dict[tuple, list[tuple]] = {}
-    for arow in answers.rows:
-        probe = tuple(arow[i] for i in shared)
-        if None not in probe:
-            buckets.setdefault(probe, []).append(arow)
+    probe_at = [states.live.index(a_cols[i]) for i in answers.shared]
     live_at = [j for j, v in enumerate(states.live) if v in keep]
     part_at = [j for j, v in enumerate(fresh) if v in keep]
     sort_keys: dict[tuple, tuple] = {}
     # Deferred conditions read the state's key and the answer row.
-    where = [compile_condition(c, states.live + a_cols) for c in deferred]
+    where = [compile_condition(c, states.live + a_cols) for c in answers.deferred]
     # Without them, a state's candidates depend only on its probe.
     table: dict[tuple, list[tuple]] = {}
     null: list[tuple] = []
@@ -500,7 +541,7 @@ def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
     """Re-verify the remaining conflicts after a conversation prefix.
 
     Conflicts behind branch decisions the prefix already took the other
-    way are dropped; answered queries become singleton answer relations.
+    way are dropped; an answered query's answers are its one answer.
     An empty trace degenerates to the static verdicts.
     """
     return _verify(p, db, conflicts, trace, combination)
@@ -625,12 +666,12 @@ def _variable_tags(q: Query, db: Database) -> dict[str, str]:
 def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
     """Validate a trace against the protocol and database schema.
 
-    Each replayed answer goes into ``answers`` as the query's one-row
-    answer relation (no row for an unanswered entry), with no where
-    condition left to apply. Returns (branch decisions, reached query
-    ids). Raises InconsistentTraceError on any violation, naming the
-    trace entry at fault: every decision an entry claims must be for a
-    branch the replay reaches, and must agree with its outcome there.
+    Each replayed answer goes into ``answers`` as the query's one answer
+    row (no row for an unanswered entry), with no where condition left
+    to apply. Returns (branch decisions, reached query ids). Raises
+    InconsistentTraceError on any violation, naming the trace entry at
+    fault: every decision an entry claims must be for a branch the
+    replay reaches, and must agree with its outcome there.
     """
     entries = list(trace)
     claims: dict[int, list[tuple[int, bool]]] = {}
@@ -660,10 +701,9 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
             _apply_answer(st, answer, tags, env, pos)
             pos += 1
             reached.add(st.id)
-            rows = [] if answer is NO_ANSWER else [
-                tuple(answer[v] for v in st.output_variables())
-            ]
-            answers[st.id] = (_declared_relation(st, tags, rows), [])
+            columns = st.output_variables()
+            rows = [] if answer is NO_ANSWER else [tuple(answer[v] for v in columns)]
+            answers[st.id] = _bucketed(columns, rows, p.fresh_variables(st.id), [])
         elif isinstance(st, Branch):
             if not all(v in env for c in st.conditions for v in c.variables()):
                 if pos < len(entries):

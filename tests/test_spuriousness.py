@@ -29,7 +29,7 @@ from protoverify.relstore import (
     relation,
     select,
 )
-from protoverify import protocol, relstore, spuriousness
+from protoverify import protocol, spuriousness
 from protoverify.spuriousness import (
     CONJUNCTION,
     DISJUNCTION,
@@ -117,8 +117,7 @@ def test_verify_conflict_realizable(protocol1, pub_db_realizable):
     verdict = _decide_conflict(3, ctx, protocol1, pub_db_realizable, CONJUNCTION)
     assert verdict.verdict == "realizable"
     assert verdict.witness["t2"] == "TAOCP"
-    cached, _deferred = ctx.answers[2]
-    assert cached.rows
+    assert ctx.answers[2].buckets
 
 
 def test_verify_conflict_memoizes(protocol1, pub_db_realizable):
@@ -205,8 +204,8 @@ def test_disjunction_mode_weaker(pub_server, pub_db_spurious):
 
 
 def test_cache_coherence(protocol1, pub_db_realizable):
-    """A cached answer relation equals one built fresh, and reusing it
-    leaves the execution states unchanged."""
+    """Cached answers equal those built fresh, and reusing them leaves
+    the execution states unchanged."""
     def contents(states):
         return states.columns, states.live, states.smallest
 
@@ -220,9 +219,12 @@ def test_cache_coherence(protocol1, pub_db_realizable):
     again = _reaching_states(protocol1, pub_db_realizable, 3, ctx, {"t2"})
     assert again is not first
     assert contents(again) == contents(fresh_states)
-    for qid, (rel, _deferred) in ctx.answers.items():
+    for qid, answers in ctx.answers.items():
         fresh = generate_assignable_set(protocol1.query(qid), pub_db_realizable)
-        assert rel.rows == fresh.rows
+        assert answers.columns == fresh.columns
+        assert {row for rows in answers.buckets.values() for row in rows} == {
+            row for row in fresh.rows if None not in (row[i] for i in answers.shared)
+        }
 
 
 def straight_titles(k):
@@ -299,13 +301,13 @@ def test_verify_all_builds_each_answer_once(
     ms = conflicts_for(p, pub_server)
     assert len({m.query_id for m in ms}) == 3
     built = []
-    real = spuriousness.generate_assignable_set
+    real = spuriousness._answer_rows
 
     def counting(q, db):
         built.append(q.id)
         return real(q, db)
 
-    monkeypatch.setattr(spuriousness, "generate_assignable_set", counting)
+    monkeypatch.setattr(spuriousness, "_answer_rows", counting)
     report = verify_all(p, pub_server, pub_db_realizable, ms)
     assert sorted(built) == [1, 2]
     assert [e.verdict for e in report.entries] == [
@@ -728,23 +730,41 @@ def test_extension_steps_grow_linearly_with_the_protocol(monkeypatch):
     assert sixteen <= 2 * eight + 1
 
 
-def test_key_lookup_probes_the_extent_index(monkeypatch):
-    """``k = 5.0`` finds the int key 5 through the index and runs the
-    where predicates on that row only."""
+def test_key_lookup_probes_the_table_index(monkeypatch):
+    """``k = 5.0`` finds the int key 5 through the Person table's index
+    and runs the where predicate on that row only; ``from Entity`` reads
+    the index of each of its three tables, and builds no extent."""
     _server, _p, db = long_shaped_instance()
     calls = []
-    real = relstore.compile_condition
+    real = spuriousness.compile_condition
 
     def counting(cond, columns):
         pred = real(cond, columns)
         return lambda row: calls.append(row) or pred(row)
 
-    monkeypatch.setattr(relstore, "compile_condition", counting)
+    monkeypatch.setattr(spuriousness, "compile_condition", counting)
     p = parse_protocol("get (id: k, val: v) from Person where (k = 5.0);")
     rel = generate_assignable_set(p.query(1), db)
     assert rel.rows == frozenset({(5, 35)})
-    assert len(calls) == 1
+    assert calls == [(5, 35)]
     assert list(db.indexes) == [("Person", "id")]
+    assert all(isinstance(rows, list) for rows in db.indexes["Person", "id"].values())
+    p = parse_protocol("get (id: k, val: v) from Entity where (k = 5);")
+    assert generate_assignable_set(p.query(1), db).rows == frozenset({(5, 35)})
+    assert sorted(db.indexes) == [("Entity", "id"), ("Org", "id"), ("Person", "id")]
+    assert db.extents == {}
+
+
+def test_verify_all_builds_no_class_extent():
+    """Verification reads the tables, not class extents, even for
+    ``from Entity``, whose extent is the union of three tables."""
+    server, p, db = long_shaped_instance()
+    assert any(ref.names == ("Entity",) for q in p.queries() for ref in q.class_refs)
+    report = verify_all(p, server, db, conflicts_for(p, server))
+    assert report.entries
+    assert db.extents == {}
+    assert class_extent(db, "Entity").rows
+    assert list(db.extents) == ["Entity"]
 
 
 @pytest.mark.parametrize("where", [
@@ -851,16 +871,10 @@ def test_engine_outcomes_match_golden_digest():
 def _product_extend(states, q, fresh, keep, ctx, db):
     """Reference for ``_extend``: every state paired with every answer
     row of its bucket, with a sort key built for each pair."""
-    answers, deferred = spuriousness._answers(q, ctx, db)
-    a_cols = answers.columns
-    shared = [i for i, v in enumerate(a_cols) if v not in fresh]
+    answers = spuriousness._answers(q, fresh, ctx, db)
+    a_cols, buckets, deferred = answers.columns, answers.buckets, answers.deferred
     fresh_at = [i for i, v in enumerate(a_cols) if v in fresh]
-    probe_at = [states.live.index(a_cols[i]) for i in shared]
-    buckets = {}
-    for arow in answers.rows:
-        probe = tuple(arow[i] for i in shared)
-        if None not in probe:
-            buckets.setdefault(probe, []).append(arow)
+    probe_at = [states.live.index(a_cols[i]) for i in answers.shared]
     wide_cols = states.live + fresh
     keep_at = [wide_cols.index(v) for v in keep]
     where = [protocol.compile_condition(c, states.live + a_cols) for c in deferred]
@@ -929,7 +943,8 @@ def test_extension_step_matches_the_product_reference(monkeypatch):
             mismatched.append((args[1], got))
         _states, q, _fresh, _keep, ctx, _db = args
         seen["steps"] += 1
-        seen["deferred"] += bool(ctx.answers.get(q.id, (None, ()))[1])
+        answers = ctx.answers.get(q.id)
+        seen["deferred"] += bool(answers and answers.deferred)
         return real(*args)
 
     monkeypatch.setattr(spuriousness, "_extend", compare)
@@ -986,10 +1001,11 @@ def test_extension_work_is_answers_plus_states_times_kept_parts(monkeypatch):
     def counting_extend(states, q, fresh, keep, ctx, db):
         before = len(calls)
         nxt = real_extend(states, q, fresh, keep, ctx, db)
-        answers = ctx.answers[q.id][0]
+        answers = ctx.answers[q.id]
+        rows = [row for bucket in answers.buckets.values() for row in bucket]
         kept = [answers.columns.index(v) for v in keep if v in fresh]
-        parts = {tuple(row[i] for i in kept) for row in answers.rows}
-        steps.append((len(calls) - before, len(answers.rows), len(states.smallest), len(parts)))
+        parts = {tuple(row[i] for i in kept) for row in rows}
+        steps.append((len(calls) - before, len(rows), len(states.smallest), len(parts)))
         return nxt
 
     monkeypatch.setattr(spuriousness, "_row_key", counting_row_key)

@@ -1,5 +1,7 @@
-"""Smoke test of ``tools/output_digest.py``, run as its users run it."""
+"""Tests of the scripts under ``tools/``: ``output_digest.py``, run as
+its users run it, and the summary of ``bench_pairs.py``."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -7,7 +9,8 @@ import sys
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+SCRIPT = TOOLS / "output_digest.py"
 
 # The digest lines of seed 7 under PYTHONHASHSEED=0. A change to them is
 # a change to what the CLI prints on these benchmark inputs.
@@ -41,3 +44,33 @@ def test_output_digest_lines_are_pinned(workload):
     result = digest(workload, PYTHONHASHSEED="0")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == PINNED[workload] + "\n"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_and_quartiles():
+    """Five pairs: ties count for neither side, the direction of
+    "better" comes from the metric, and the quartiles are the base's."""
+    bench_pairs = _bench_pairs()
+    base = [10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [9.0, 11.0, 11.0, 12.0, 15.0]
+    pairs = [({"call_ms_p50": b, "verdicts_per_s": b, "only_base": 1.0},
+              {"call_ms_p50": c, "verdicts_per_s": c})
+             for b, c in zip(base, change)]
+    rows = bench_pairs.summarize(pairs, {"verdicts_per_s": "higher"})
+    assert [row["name"] for row in rows] == ["call_ms_p50", "verdicts_per_s"]
+    lower, higher = rows
+    assert (lower["base_q1"], lower["base_median"], lower["base_q3"]) == (11.0, 12.0, 13.0)
+    assert lower["change_median"] == 11.0
+    assert lower["delta"] == pytest.approx(-1 / 12)
+    assert (lower["wins"], lower["losses"], lower["pairs"]) == (3, 1, 5)
+    assert (higher["wins"], higher["losses"]) == (1, 3)
+    assert bench_pairs.format_row(lower) == (
+        "call_ms_p50                         12.0000 [11.0000-13.0000] ->      11.0000"
+        " (-8.3%)  wins 3/5, losses 1"
+    )
