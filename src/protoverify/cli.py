@@ -166,31 +166,24 @@ def _oracle_agreement(report, ast, db, prefix=()):
     return agreement
 
 
-def cmd_verify_db(args) -> int:
+def cmd_verify(args) -> int:
+    """``verify-db``, and ``step``, which first replays its trace."""
     server, ast, db = _load_inputs(args, with_db=True)
     mismatches = consistency.check_consistency(ast, server)
     combination = (
         spuriousness.DISJUNCTION if args.paper_disjunction else spuriousness.CONJUNCTION
     )
-    report = spuriousness.verify_all(ast, server, db, mismatches, combination)
-    agreement = _oracle_agreement(report, ast, db) if args.oracle else None
-    _emit_report(report, args.format, sys.stdout, agreement)
-    return EXIT_FINDINGS if report.has_realizable() else EXIT_CLEAN
-
-
-def cmd_step(args) -> int:
-    server, ast, db = _load_inputs(args, with_db=True)
-    mismatches = consistency.check_consistency(ast, server)
-    combination = (
-        spuriousness.DISJUNCTION if args.paper_disjunction else spuriousness.CONJUNCTION
-    )
-    with open(args.trace, encoding="utf-8") as fh:
-        try:
-            raw_trace = json.load(fh)
-        except ValueError as exc:  # also integers past the digit limit
-            raise InconsistentTraceError(f"malformed trace: {exc}") from exc
-    trace = spuriousness.parse_trace(raw_trace, ast, db)
-    report = spuriousness.step_verify(ast, server, db, mismatches, trace, combination)
+    if args.command == "step":
+        with open(args.trace, encoding="utf-8") as fh:
+            try:
+                raw_trace = json.load(fh)
+            except ValueError as exc:  # also integers past the digit limit
+                raise InconsistentTraceError(f"malformed trace: {exc}") from exc
+        trace = spuriousness.parse_trace(raw_trace, ast, db)
+        report = spuriousness.step_verify(ast, server, db, mismatches, trace, combination)
+    else:
+        trace = ()
+        report = spuriousness.verify_all(ast, server, db, mismatches, combination)
     agreement = None
     if args.oracle:
         prefix = [(qid, None if answer is spuriousness.NO_ANSWER else answer)
@@ -251,8 +244,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handlers = {
         "check": cmd_check,
-        "verify-db": cmd_verify_db,
-        "step": cmd_step,
+        "verify-db": cmd_verify,
+        "step": cmd_verify,
         "parse": cmd_parse,
     }
     try:

@@ -1,6 +1,6 @@
 """Grammar, AST, and parser for the query-protocol DSL, plus the path
-index used by both checkers and the parse-time check that every variable
-is bound before it is read.
+index used by both checkers. The parser also checks that every variable
+is definitely bound before it is read.
 
 Surface syntax::
 
@@ -15,8 +15,8 @@ opaque external action. Branching is structured if/else only.
 
 The lexer is one ``findall`` that yields the token texts, and the parser
 reads each token's kind from its text. No offsets are kept: a syntax
-error scans the text again to find the offset, line and column of the
-token it reports.
+error, or a read of a variable that is not yet bound, scans the text
+again to find the offset, line and column of the token it reports.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ COMPARISON_OPS = ("=", "!=", "<", ">", "<=", ">=")
 
 KEYWORDS = {"get", "from", "where", "if", "else", "do", "null"}
 
-# Deepest ``if`` nesting the parser accepts. The parser, the printer and
-# the variable-use check recurse once per level, so this keeps them well
-# inside Python's recursion limit.
+# Deepest ``if`` nesting the parser accepts. The parser, the path index
+# and the printer recurse once per level, so this keeps them well inside
+# Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -289,11 +289,14 @@ _KIND_RE = re.compile(_TOKEN_KINDS, re.VERBOSE)
 _OPERATORS = frozenset(COMPARISON_OPS)
 
 
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _syntax_error(text: str, offset: int, message: str) -> ProtocolSyntaxError:
-    """The error at a character offset, with its 1-based line and column."""
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)
-    return ProtocolSyntaxError(message, line, column)
+    """The error at a character offset, with its line and column."""
+    return ProtocolSyntaxError(message, *_line_column(text, offset))
 
 
 def _token_offset(text: str, index: int) -> int:
@@ -336,6 +339,13 @@ class _Parser:
     (a date has a ``-``, a decimal a ``.``), a string starts with ``'``,
     and the end of input is ``""``. Every other token is an operator or
     punctuation and stands for itself.
+
+    ``bound`` holds the variables definitely bound at the current token:
+    a query adds its outputs after its bindings, each arm of an ``if``
+    starts from the set on entry, and after the ``if`` the set is the
+    arms' intersection, or the set on entry when there is no ``else``.
+    The first operand that reads an unbound variable is raised once the
+    whole text parses, so a syntax error anywhere takes precedence.
     """
 
     def __init__(self, text: str):
@@ -345,6 +355,9 @@ class _Parser:
         self.next_query_id = 1
         self.next_branch_id = 1
         self.depth = 0  # blocks enclosing the current statement
+        self.bound: frozenset[str] = frozenset()
+        self.reading = ""  # the statement part whose operands are parsed
+        self.unbound_read = None  # (token index, variable, self.reading)
 
     def error(self, message, index=None):
         """Raise the error at a token, by default the current one."""
@@ -366,6 +379,11 @@ class _Parser:
 
     def parse_protocol(self) -> ProtocolAst:
         stmts = self.parse_statements("")
+        if self.unbound_read is not None:
+            index, name, reading = self.unbound_read
+            line, column = _line_column(self.text, _token_offset(self.text, index))
+            raise ProtocolSemanticError(f"variable {name!r} read before instantiation "
+                                        f"({reading}) (line {line}, column {column})")
         return ProtocolAst(tuple(stmts))
 
     def parse_statements(self, until) -> list[Statement]:
@@ -387,21 +405,23 @@ class _Parser:
 
     def parse_query(self) -> Query:
         self.pos += 1  # get
+        qid = self.next_query_id
+        self.next_query_id += 1
         self.expect("(")
         bindings = [self.parse_binding()]
         while self.accept(","):
             bindings.append(self.parse_binding())
         self.expect(")")
+        self.bound = self.bound.union(var for _, var in bindings if var is not None)
         self.expect("from")
         class_refs = [self.parse_class_ref()]
         while self.accept(","):
             class_refs.append(self.parse_class_ref())
         where = ()
         if self.accept("where"):
+            self.reading = f"where clause of query {qid}"
             where = tuple(self.parse_condition_list())
         self.expect(";")
-        qid = self.next_query_id
-        self.next_query_id += 1
         return Query(qid, tuple(bindings), tuple(class_refs), where)
 
     def parse_binding(self) -> tuple[str, str | None]:
@@ -452,6 +472,8 @@ class _Parser:
                 return Lit(None)
             if tok in KEYWORDS:
                 self.error("expected operand")
+            if tok not in self.bound and self.unbound_read is None:
+                self.unbound_read = (self.pos, tok, self.reading)
             self.pos += 1
             if self.accept("."):
                 fld = self.parse_name("date field")
@@ -494,13 +516,18 @@ class _Parser:
         self.pos += 1  # if
         if self.depth >= MAX_NESTING:
             self.error(f"'if' nested more than {MAX_NESTING} deep", at_if)
-        conds = tuple(self.parse_condition_list())
         bid = self.next_branch_id
         self.next_branch_id += 1
+        self.reading = f"branch {bid} condition"
+        conds = tuple(self.parse_condition_list())
+        entry = self.bound
         then_block = tuple(self.parse_block())
         else_block = None
         if self.accept("else"):
+            then_bound, self.bound = self.bound, entry
             else_block = tuple(self.parse_block())
+            entry = then_bound & self.bound
+        self.bound = entry
         return Branch(bid, conds, then_block, else_block)
 
     def parse_block(self) -> list[Statement]:
@@ -515,6 +542,7 @@ class _Parser:
         self.pos += 1  # do
         name = self.parse_name("action name")
         self.expect("(")
+        self.reading = f"action {name!r}"
         args = []
         if self.tokens[self.pos] != ")":
             args.append(self.parse_operand())
@@ -526,10 +554,9 @@ class _Parser:
 
 
 def parse_protocol(text: str) -> ProtocolAst:
-    """Parse DSL source into an AST and run the static variable checks."""
-    ast = _Parser(text).parse_protocol()
-    _check_block(ast.statements, frozenset())
-    return ast
+    """Parse DSL source into an AST, checking that every variable is
+    definitely bound before it is read."""
+    return _Parser(text).parse_protocol()
 
 
 # --- printing ---
@@ -564,39 +591,6 @@ def _print_statements(stmts, lines, depth):
         else:
             args = ", ".join(str(a) for a in st.args)
             lines.append(f"{pad}do {st.name}({args});")
-
-
-# --- variable-use check ---
-
-def _check_block(stmts, bound: frozenset[str]) -> frozenset[str]:
-    """Reject reads of variables that are not definitely bound in a block
-    entered with ``bound``; return the variables definitely bound after
-    it. Recursion depth is bounded by MAX_NESTING."""
-    for st in stmts:
-        if isinstance(st, Query):
-            bound = bound | set(st.output_variables())
-            for cond in st.where:
-                _check_operands(
-                    (cond.lhs, cond.rhs), bound, f"where clause of query {st.id}"
-                )
-        elif isinstance(st, Branch):
-            for cond in st.conditions:
-                _check_operands((cond.lhs, cond.rhs), bound, f"branch {st.id} condition")
-            then_out = _check_block(st.then_block, bound)
-            if st.else_block is not None:
-                bound = then_out & _check_block(st.else_block, bound)
-            # if without else: only previously bound vars are definite
-        else:
-            _check_operands(st.args, bound, f"action {st.name!r}")
-    return bound
-
-
-def _check_operands(operands, bound, where):
-    for operand in operands:
-        if isinstance(operand, Var) and operand.name not in bound:
-            raise ProtocolSemanticError(
-                f"variable {operand.name!r} read before instantiation ({where})"
-            )
 
 
 # --- condition evaluation ---

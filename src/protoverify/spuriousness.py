@@ -28,8 +28,8 @@ its steps; each conflict keeps only its own live columns.
 
 Step mode replays a conversation prefix: each answered query's answers
 are its one answer from the prefix, and conflicts behind branch
-decisions already taken are pruned. Static verification is the same
-with no prefix.
+decisions the prefix's values already took the other way are pruned.
+Static verification is the same with an empty prefix.
 """
 
 from __future__ import annotations
@@ -473,10 +473,7 @@ def _extend(states: ReachingStates, q: Query, fresh: tuple[str, ...],
 
 def _least_per_part(extensions, part_at, sort_keys) -> list[tuple]:
     """(kept part, extension, sort key) of the least extension per kept
-    part. Distinct ints past 2**53 can share a sort key; such a tie goes
-    to the extension met first in ``extensions``, a set built in bucket
-    order, as a walk over every extension of every state resolves it.
-    ``sort_keys`` holds the sort keys the step has computed."""
+    part. ``sort_keys`` holds the sort keys the step has computed."""
     least: dict[tuple, tuple] = {}
     for ext in extensions:
         esk = sort_keys.get(ext)
@@ -533,32 +530,29 @@ def _decide_conflict(qid: int, ctx: VerifyContext, p: ProtocolAst, db: Database,
 def verify_all(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                combination: str = CONJUNCTION) -> SpuriousnessReport:
     """One verdict per distinct conflicting query, in query order."""
-    return _verify(p, db, conflicts, None, combination)
+    return _verify(p, db, conflicts, (), combination)
 
 
 def step_verify(p: ProtocolAst, server: OntologyGraph, db: Database, conflicts,
                 trace, combination: str = CONJUNCTION) -> SpuriousnessReport:
     """Re-verify the remaining conflicts after a conversation prefix.
 
-    Conflicts behind branch decisions the prefix already took the other
-    way are dropped; an answered query's answers are its one answer.
-    An empty trace degenerates to the static verdicts.
+    Conflicts behind branch decisions the prefix's values already took
+    the other way are dropped; an answered query's answers are its one
+    answer. An empty trace gives the static verdicts.
     """
     return _verify(p, db, conflicts, trace, combination)
 
 
 def _verify(p: ProtocolAst, db: Database, conflicts, trace,
             combination: str) -> SpuriousnessReport:
-    """The verdicts of both entry points: those after replaying
-    ``trace``, or the static verdicts when there is no trace (``None``).
-    Each entry point calls this function directly, so neither runs
-    inside the other."""
+    """The verdicts of both entry points after replaying ``trace``, which
+    is empty for static verification. A trace prunes only on values it
+    supplied: behind a branch whose guard reads a variable. Each entry
+    point calls this function directly, so neither runs inside the other."""
     _check_binding_tags(p, db)
     ctx = VerifyContext()
-    decided: dict[int, bool] = {}
-    reached: set[int] = set()
-    if trace is not None:
-        decided, reached = _replay_trace(p, db, trace, ctx.answers)
+    decided, reached = _replay_trace(p, db, trace, ctx.answers)
     entries = []
     for qid in sorted({m.query_id for m in conflicts}):
         if decided and any(decided.get(branch.id, arm) != arm
@@ -668,10 +662,11 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
 
     Each replayed answer goes into ``answers`` as the query's one answer
     row (no row for an unanswered entry), with no where condition left
-    to apply. Returns (branch decisions, reached query ids). Raises
-    InconsistentTraceError on any violation, naming the trace entry at
-    fault: every decision an entry claims must be for a branch the
-    replay reaches, and must agree with its outcome there.
+    to apply. Returns (the outcomes of the passed branches whose guard
+    reads a variable, reached query ids). Raises InconsistentTraceError
+    on any violation, naming the trace entry at fault: every decision an
+    entry claims must be for a branch the replay passes, and must agree
+    with its outcome there.
     """
     entries = list(trace)
     claims: dict[int, list[tuple[int, bool]]] = {}
@@ -680,6 +675,7 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
             claims.setdefault(bid, []).append((index, taken))
     env: dict[str, object] = {}
     decided: dict[int, bool] = {}
+    passed: set[int] = set()
     reached: set[int] = set()
     pos = 0
     # The statements in execution order, through an explicit stack of
@@ -705,7 +701,8 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
             rows = [] if answer is NO_ANSWER else [tuple(answer[v] for v in columns)]
             answers[st.id] = _bucketed(columns, rows, p.fresh_variables(st.id), [])
         elif isinstance(st, Branch):
-            if not all(v in env for c in st.conditions for v in c.variables()):
+            reads = [v for c in st.conditions for v in c.variables()]
+            if not all(v in env for v in reads):
                 if pos < len(entries):
                     raise InconsistentTraceError(
                         f"branch {st.id} guard is undecidable but trace "
@@ -719,7 +716,9 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
                         f"trace entry {index} decides branch {st.id} as {taken} "
                         f"but the seeded values force {outcome}"
                     )
-            decided[st.id] = outcome
+            passed.add(st.id)
+            if reads:
+                decided[st.id] = outcome
             if outcome:
                 blocks.append(iter(st.then_block))
             elif st.else_block is not None:
@@ -730,7 +729,7 @@ def _replay_trace(p: ProtocolAst, db: Database, trace, answers):
         )
     for index, (_, _, decisions, _) in enumerate(entries):
         for bid, _ in decisions:
-            if bid not in decided:
+            if bid not in passed:
                 raise InconsistentTraceError(
                     f"trace entry {index} decides branch {bid}, which the trace "
                     f"never reaches"

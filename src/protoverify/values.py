@@ -106,12 +106,13 @@ def _finite(value: float, raw) -> float:
 
 
 def sort_key(value):
-    """Total order over mixed values for deterministic output."""
+    """Total order over mixed values for deterministic output; an int
+    and a float compare exactly, so ints past 2**53 do not tie."""
     if value is None:
         return (0, "")
     tag = tag_of(value)
     if tag in ("int", "decimal"):
-        return (1, float(value))
+        return (1, value)
     if tag == "str":
         return (2, value)
     return (3, value.isoformat())

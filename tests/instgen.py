@@ -3,7 +3,8 @@
 Instances stay inside the fragment both deciders agree on: straight-line
 queries binding fresh variables, single-condition branches without
 null-equality guards, conjunction mode, and one unresolvable conflict
-query placed last.
+query placed last. On request, a guard that reads no variable may
+enclose the conflict query directly.
 """
 
 import dataclasses
@@ -68,8 +69,20 @@ def _literal(rng: random.Random) -> str:
     return str(rng.choice(DOMAIN))
 
 
+def _wrap(rng: random.Random, stmt: str, cond: str, then_only: bool) -> str:
+    """``stmt`` in the then-arm of ``if cond``, or in its else-arm."""
+    body = "\n".join("  " + line for line in stmt.splitlines())
+    if then_only or rng.random() < 0.5:
+        return f"if {cond} {{\n{body}\n}}"
+    return f"if {cond} {{\n  do Skip();\n}} else {{\n{body}\n}}"
+
+
 def make_instance(rng: random.Random, force_branch: bool = False,
-                  then_only: bool = False) -> Instance:
+                  then_only: bool = False, free_guards: bool = False) -> Instance:
+    """A random instance. With ``free_guards``, half the instances put
+    the conflict query directly inside a guard over two literals, inside
+    the other branches; without it, the option draws nothing from
+    ``rng``."""
     server = _random_ontology(rng)
     db = _random_database(rng, server)
 
@@ -107,17 +120,16 @@ def make_instance(rng: random.Random, force_branch: bool = False,
     n_branch = rng.randint(1 if force_branch else 0, 2)
     n_branch = min(n_branch, len(bound))
     stmt = conflict
+    if free_guards and rng.random() < 0.5:
+        cond = f"({_literal(rng)} {rng.choice(OPS)} {_literal(rng)})"
+        stmt = _wrap(rng, stmt, cond, then_only)
     for _ in range(n_branch):
         var = rng.choice(bound)
         if rng.random() < 0.2:
             cond = f"({var} != null)"
         else:
             cond = f"({var} {rng.choice(OPS)} {_literal(rng)})"
-        body = "\n".join("  " + line for line in stmt.splitlines())
-        if then_only or rng.random() < 0.5:
-            stmt = f"if {cond} {{\n{body}\n}}"
-        else:
-            stmt = f"if {cond} {{\n  do Skip();\n}} else {{\n{body}\n}}"
+        stmt = _wrap(rng, stmt, cond, then_only)
     lines.append(stmt)
 
     text = "\n".join(lines) + "\n"

@@ -233,9 +233,11 @@ def test_criterion_7_algebra_laws():
         assert select(r, [c1, c2]).rows == select(select(r, [c1]), [c2]).rows
 
 
-def _away_trace(inst):
-    """A valid conversation prefix whose final branch decision turns away
-    from the conflict, or None when every execution decides toward it."""
+def _deciding_trace(inst, toward):
+    """A valid conversation prefix through the top-level queries whose
+    last entry claims the outermost branch on the conflict's path, taken
+    toward the conflict or away from it, and the values it binds; None
+    when no execution decides that way."""
     p, db = inst.ast, inst.db
     top = [s for s in p.statements if isinstance(s, Query)]
     branch, conflict_arm = p.arms(inst.conflict_qid)[0]
@@ -243,12 +245,12 @@ def _away_trace(inst):
     def rec(i, env, entries):
         if i == len(top):
             decision = all(eval_condition(c, env) for c in branch.conditions)
-            if decision == conflict_arm:
+            if (decision == conflict_arm) != toward:
                 return None
             done = list(entries)
             qid, answer, _, tags = done[-1]
             done[-1] = (qid, answer, [(branch.id, decision)], tags)
-            return done
+            return done, env
         q = top[i]
         answers = _answers(q, env, db, {})
         options = answers if answers else [NO_ANSWER]
@@ -270,22 +272,42 @@ def _away_trace(inst):
 
 @_criterion(8, "step mode: empty trace matches static; branch-away trace clears")
 def test_criterion_8_step_consistency():
+    """Also: a trace toward the conflict prunes it only on a guard that
+    reads a variable; behind guards over literals alone it keeps a
+    verdict, on which the oracle searching from the trace agrees."""
     rng = random.Random(80800)
-    checked = away_checked = 0
+    checked = away_checked = toward_checked = free_kept = 0
     while checked < 50:
-        inst = make_instance(rng, force_branch=True)
-        conflicts = check_consistency(inst.ast, inst.server)
-        static = verify_all(inst.ast, inst.server, inst.db, conflicts)
-        stepped = step_verify(inst.ast, inst.server, inst.db, conflicts, [])
+        inst = make_instance(rng, force_branch=True, free_guards=True)
+        p, qid = inst.ast, inst.conflict_qid
+        conflicts = check_consistency(p, inst.server)
+        static = verify_all(p, inst.server, inst.db, conflicts)
+        stepped = step_verify(p, inst.server, inst.db, conflicts, [])
         assert stepped.to_json_text() == static.to_json_text()
         checked += 1
-        trace = _away_trace(inst)
-        if trace is None:
+        away = _deciding_trace(inst, toward=False)
+        if away is not None:
+            report = step_verify(p, inst.server, inst.db, conflicts, away[0])
+            assert report.entries == ()
+            away_checked += 1
+        toward = _deciding_trace(inst, toward=True)
+        if toward is None:
             continue
-        report = step_verify(inst.ast, inst.server, inst.db, conflicts, trace)
-        assert report.entries == ()
-        away_checked += 1
+        trace, env = toward
+        report = step_verify(p, inst.server, inst.db, conflicts, trace)
+        outcomes = [(all(eval_condition(c, env) for c in b.conditions) == arm,
+                     any(c.variables() for c in b.conditions)) for b, arm in p.arms(qid)]
+        kept = all(taken for taken, reads in outcomes if reads)
+        assert [e.query_id for e in report.entries] == ([qid] if kept else [])
+        if kept:
+            prefix = [(q, None if a is NO_ANSWER else a) for q, a, _, _ in trace]
+            assert (report.entries[0].verdict == "realizable") == is_reachable(
+                p, inst.db, qid, prefix=prefix)
+            free_kept += not all(taken for taken, _ in outcomes)
+        toward_checked += 1
     assert away_checked >= 20
+    assert toward_checked >= 20
+    assert free_kept >= 3
 
 
 def _first_binding(p, variable):

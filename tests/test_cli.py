@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from protoverify import cli, oracle
+from protoverify import cli, oracle, values
 from protoverify.cli import main
 from protoverify.protocol import MAX_NESTING
 
@@ -1000,3 +1000,92 @@ def test_step_non_finite_decimal_answer_exit_two(capsys, tmp_path, raw):
         run(capsys, "step", *args, "--trace", str(trace)),
         "query 1", "'x'", "not finite",
     )
+
+
+def test_verify_db_witness_orders_ints_past_2_53_exactly(capsys, tmp_path):
+    """Three ints past 2**53 that one float holds: the witness is the
+    least of them, not the one that set order meets first."""
+    big = 2**53 + 3
+    assert values.sort_key(big) < values.sort_key(big + 1) < values.sort_key(big + 2)
+    args = write_instance(
+        tmp_path, {"T": ["a1", "a2"]}, {"T": [("", big + 2), ("", big), ("", big + 1)]},
+        "get (a1: x, a2: y) from T; if (y != null) { get (ghost: g) from Missing; }\n",
+    )
+    assert run(capsys, "verify-db", *args, "--oracle") == (
+        1, f"query 2: realizable (witness {{'x': None, 'y': {big}}}) [oracle agrees: True]\n",
+        "")
+
+
+# --- a trace prunes only on values it supplied ---
+
+VARIABLE_FREE_GUARDS = (
+    "if (1 = 2) { get (ghost: w) from Missing; }\n"
+    "get (a1: x) from Base;\n"
+    "if (2 = 2) { get (ghost: v) from Missing; }\n"
+)
+
+
+def step_with_trace(capsys, tmp_path, args, entries):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(entries))
+    return run(capsys, "step", *args, "--trace", str(trace), "--oracle")
+
+
+def test_step_empty_trace_keeps_conflicts_behind_variable_free_guards(capsys, tmp_path):
+    """The empty trace decides nothing: query 1, behind a guard that no
+    execution takes, gets the static ``spurious`` verdict."""
+    args = write_instance(tmp_path, {"Base": ["a1", "a2"]}, {"Base": [(3, 4), (1, 2)]},
+                          VARIABLE_FREE_GUARDS)
+    expected = (
+        "query 1: spurious (assignable set emptied at []) [oracle agrees: True]\n"
+        "query 3: realizable (witness {'x': 1}) [oracle agrees: True]\n"
+    )
+    assert run(capsys, "verify-db", *args, "--oracle") == (1, expected, "")
+    assert step_with_trace(capsys, tmp_path, args, []) == (1, expected, "")
+
+
+def test_step_trace_past_variable_free_guards_keeps_their_conflicts(capsys, tmp_path):
+    """A trace that passes both guards, and claims the first one's
+    outcome, prunes neither conflict; a wrong claim is still refused."""
+    args = write_instance(tmp_path, {"Base": ["a1", "a2"]}, {"Base": [(3, 4), (1, 2)]},
+                          VARIABLE_FREE_GUARDS)
+    entry = {"queryId": 2, "answer": {"x": 3}, "branch": {"index": 1, "taken": False}}
+    assert step_with_trace(capsys, tmp_path, args, [entry]) == (1, (
+        "query 1: spurious (assignable set emptied at []) [oracle agrees: True]\n"
+        "query 3: realizable (witness {'x': 3}) [oracle agrees: True]\n"
+    ), "")
+    entry["branch"]["taken"] = True
+    assert_input_error(step_with_trace(capsys, tmp_path, args, [entry]),
+                       "trace entry 0", "branch 1")
+
+
+def test_step_trace_keeps_a_nested_variable_free_guard_undecided(capsys, tmp_path):
+    """The trace decides branch 1 from ``x``, but branch 2's guard reads
+    no variable, so conflict 2 behind it gets a verdict."""
+    args = write_instance(
+        tmp_path, {"Base": ["a1", "a2"]}, {"Base": [(1, 2)]},
+        "get (a1: x) from Base;\n"
+        "if (x = 1) { if (3 = 4) { get (ghost: w) from Missing; } }\n",
+    )
+    assert run(capsys, "verify-db", *args, "--oracle") == (
+        0, "query 2: spurious (assignable set emptied at ['x']) [oracle agrees: True]\n", "")
+    assert step_with_trace(capsys, tmp_path, args, [{"queryId": 1, "answer": {"x": 1}}]) == (
+        0, "query 2: spurious (assignable set emptied at []) [oracle agrees: True]\n", "")
+    # A value the trace supplied still prunes.
+    assert step_with_trace(capsys, tmp_path, args, [{"queryId": 1, "answer": {"x": 2}}]) == (
+        0, "no remaining conflicts\n", "")
+
+
+def test_incomparable_literal_guard_before_any_query_exit_two_in_both_modes(capsys, tmp_path):
+    """Every execution compares 1 with 'a' before its first query, so
+    ``verify-db`` rejects the protocol as ``step`` with ``[]`` and the
+    oracle do."""
+    args = write_instance(
+        tmp_path, {"Base": ["a1", "a2"]}, {"Base": [(1, 2)]},
+        "if (1 = 'a') { do Skip(); }\n"
+        "get (a1: x) from Base; if (x = 1) { get (ghost: g) from Missing; }\n",
+    )
+    for argv in (["verify-db", *args], ["verify-db", *args, "--oracle"]):
+        assert_input_error(run(capsys, *argv), "cannot compare int with str")
+    assert_input_error(step_with_trace(capsys, tmp_path, args, []),
+                       "cannot compare int with str")

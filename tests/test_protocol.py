@@ -4,6 +4,7 @@ import datetime
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +81,27 @@ def test_if_else_intersection_binds():
     )
     p = parse_protocol(text)
     assert len(p.queries()) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("get (title: t) from Book;\nget (author: a) from Book\n  where (a = t) (u = 5);",
+     "variable 'u' read before instantiation (where clause of query 2)"
+     " (line 3, column 18)"),
+    ("get (title: t) from Book;\nif (t != null)\n (1 <\tx.year) { do Ping(); }",
+     "variable 'x' read before instantiation (branch 1 condition) (line 3, column 7)"),
+    ("if (1 = 1) { get (title: t) from Book; }\ndo Send(t);",
+     "variable 't' read before instantiation (action 'Send') (line 2, column 9)"),
+], ids=["where", "guard", "action"])
+def test_read_before_instantiation_names_the_variable_token(text, message):
+    with pytest.raises(ProtocolSemanticError) as exc:
+        parse_protocol(text)
+    assert str(exc.value) == message
+
+
+def test_later_syntax_error_wins_over_earlier_unbound_read():
+    with pytest.raises(ProtocolSyntaxError) as exc:
+        parse_protocol("do Send(x);\nget (title: t) from Book where (t = );")
+    assert (exc.value.line, exc.value.column) == (2, 37)
 
 
 def test_syntax_error_carries_position():
@@ -592,7 +614,14 @@ def parse_outcome(text) -> str:
         return f"{type(exc).__name__}|{exc}"
 
 
-PARSE_DIGEST = "5b6296eecda0de9fbbd82db0929248fb87b1da90dce7448ecc85a14b04cae26c"
+PARSE_DIGEST = "703a73588aa9c5005101119ad54c52d184cf70a9e311a3b019a91c50b84cdb6e"
+
+# The digest of the same outcomes before read-before-instantiation errors
+# named a position: with the position stripped from them, the outcomes
+# are those of the check that ran after the parse.
+UNPLACED_PARSE_DIGEST = "5b6296eecda0de9fbbd82db0929248fb87b1da90dce7448ecc85a14b04cae26c"
+
+_POSITION_SUFFIX = re.compile(r" \(line \d+, column \d+\)$")
 
 
 def test_parse_outcomes_match_golden_digest():
@@ -601,9 +630,16 @@ def test_parse_outcomes_match_golden_digest():
     sources = [read_protocol(p.name) for p in sorted(FIXTURES.glob("*.pv"))]
     sources.append(long_nested_protocol(random.Random(1), 3))
     rng = random.Random(19)
-    h = hashlib.sha256()
+    h, unplaced = hashlib.sha256(), hashlib.sha256()
+    semantic = 0
     for _ in range(1300):
         for source in sources:
-            h.update(parse_outcome(mutate(rng, source)).encode())
-            h.update(b"\0")
+            outcome = parse_outcome(mutate(rng, source))
+            h.update(outcome.encode() + b"\0")
+            if outcome.startswith("ProtocolSemanticError|variable "):
+                semantic += 1
+                outcome = _POSITION_SUFFIX.sub("", outcome)
+            unplaced.update(outcome.encode() + b"\0")
     assert h.hexdigest() == PARSE_DIGEST
+    assert unplaced.hexdigest() == UNPLACED_PARSE_DIGEST
+    assert semantic == 103

@@ -900,9 +900,8 @@ def _product_extend(states, q, fresh, keep, ctx, db):
 
 
 # Deferred where-conditions over earlier variables, over a table whose
-# a2 column holds two ints past 2**53 with one sort key between them. With
-# these rows, resolving such a tie in bucket order instead of set order
-# changes the states of three of the four steps.
+# a2 column holds two ints past 2**53 that differ by one, which a sort key
+# through ``float`` would tie.
 BIG = 2**53 + 4
 TIE_PROTOCOL = (
     "get (a1: x, a2: y) from T;\n"

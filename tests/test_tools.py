@@ -74,3 +74,24 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
         "call_ms_p50                         12.0000 [11.0000-13.0000] ->      11.0000"
         " (-8.3%)  wins 3/5, losses 1"
     )
+
+
+@pytest.mark.parametrize("base, change, better, expected", [
+    # The median rose by 30%, past the 24% bound.
+    ([10.0, 10.0, 10.0, 10.0, 10.0], [13.0, 13.0, 13.0, 13.0, 13.0], "lower", "worse"),
+    ([10.0, 10.0, 10.0, 10.0, 10.0], [7.0, 7.0, 7.0, 7.0, 7.0], "higher", "worse"),
+    # The base spreads 4.0 around 10.0, wider than the bound, and one
+    # change run is worse than one base run.
+    ([8.0, 9.0, 10.0, 13.0, 14.0], [8.5, 9.0, 9.5, 10.0, 10.5], "lower", "unresolved"),
+    # Every change run beats every base run, so the spread cannot hide it.
+    ([8.0, 9.0, 10.0, 13.0, 14.0], [5.0, 6.0, 7.0, 7.5, 7.9], "lower", "ok"),
+    ([8.0, 9.0, 10.0, 13.0, 14.0], [14.5, 15.0, 16.0, 17.0, 18.0], "higher", "ok"),
+    # 20% worse, within the bound, and the base's quartiles are both 10.0.
+    ([9.5, 10.0, 10.0, 10.0, 10.5], [11.0, 11.5, 12.0, 12.0, 12.5], "lower", "ok"),
+])
+def test_bench_pairs_verdict(base, change, better, expected):
+    bench_pairs = _bench_pairs()
+    pairs = [({"m": b}, {"m": c}) for b, c in zip(base, change)]
+    (row,) = bench_pairs.summarize(pairs, {"m": better}, {"m": 0.24})
+    assert row["verdict"] == expected
+    assert bench_pairs.format_row(row).endswith(f"losses {row['losses']}  {expected}")

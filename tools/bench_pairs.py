@@ -15,8 +15,18 @@ For each metric the summary prints the base's median and its quartiles,
 the change's median and the relative difference of the medians, the
 pairs in which the change is better (as ``BENCHMARK.json`` of the change
 says which direction is better; lower where it does not say) and those
-in which it is worse, ties counting for neither. Last come the failed
-calls of each side. Only the standard library is used.
+in which it is worse, ties counting for neither. A metric that
+``BENCHMARK.json`` gives a relative ``bound`` also gets a verdict:
+
+- ``worse``: the change's median is worse than the base's median by
+  more than the bound;
+- ``unresolved``: the base's interquartile spread is wider than the
+  bound and not every change run beats every base run, so the pairs
+  cannot tell a regression from noise;
+- ``ok`` otherwise.
+
+Last come the failed calls of each side. Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -39,13 +49,29 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     return json.loads(out.strip().splitlines()[-1])
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def verdict(base: list[float], change: list[float], sign: int, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric's runs, as the
+    module docstring defines them; ``sign`` is 1 when lower is better
+    and -1 when higher is."""
+    q1, median, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    if sign * (statistics.median(change) - median) > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not all(
+            sign * (c - b) < 0 for c in change for b in base):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric that both sides of every pair report.
 
     ``pairs`` holds (base, change) metric values by name; ``better`` maps
-    a metric to "lower" or "higher" (lower when absent). The quartiles
-    are ``statistics.quantiles(..., n=4, method="inclusive")``.
+    a metric to "lower" or "higher" (lower when absent), and ``bounds``
+    a metric to its relative bound, which adds a ``verdict`` to its row.
+    The quartiles are ``statistics.quantiles(..., n=4, method="inclusive")``.
     """
+    bounds = bounds or {}
     names = [n for n in pairs[0][0] if all(n in b and n in c for b, c in pairs)]
     rows = []
     for name in names:
@@ -65,6 +91,8 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "losses": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
         })
+        if name in bounds:
+            rows[-1]["verdict"] = verdict(base, change, sign, bounds[name])
     return rows
 
 
@@ -72,7 +100,7 @@ def format_row(row: dict) -> str:
     return (f"{row['name']:30s} {row['base_median']:12.4f} "
             f"[{row['base_q1']:.4f}-{row['base_q3']:.4f}] -> {row['change_median']:12.4f} "
             f"({row['delta']:+.1%})  wins {row['wins']}/{row['pairs']}, "
-            f"losses {row['losses']}")
+            f"losses {row['losses']}" + (f"  {row['verdict']}" if "verdict" in row else ""))
 
 
 def _seeds(text: str) -> list[int]:
@@ -80,10 +108,14 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def _better(checkout: str) -> dict[str, str]:
+def _metrics(checkout: str) -> tuple[dict[str, str], dict[str, float]]:
+    """Each metric's direction and each bounded metric's bound, from the
+    checkout's ``BENCHMARK.json``."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    return {m["name"]: m["better"] for m in doc.get("end_to_end", []) + doc.get("per_layer", [])}
+    metrics = doc.get("end_to_end", []) + doc.get("per_layer", [])
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in metrics if "bound" in m})
 
 
 def main(argv=None) -> int:
@@ -110,7 +142,7 @@ def main(argv=None) -> int:
                   for s in ("base", "change")]
         pairs.append((values[0], values[1]))
         print(f"# pair {i + 1}/{len(args.seeds)} seed {seed} ({sides[0]} first)", flush=True)
-    for row in summarize(pairs, _better(args.change)):
+    for row in summarize(pairs, *_metrics(args.change)):
         print(format_row(row))
     print(f"failed calls: base {failed['base']}, change {failed['change']}")
     return 0
